@@ -18,8 +18,7 @@
 // All three run the identical fixed BLIS-style 8x12 kernel, so the spread
 // is pure dispatch-layer cost. Rows report seconds per call (better =
 // lower) plus an info overhead row; hot_plan additionally emits a GFLOPS
-// row carrying mr/nr counters — the emission EXO_GEMM_PLAN_PRIOR consumes
-// (see Planner.h).
+// row carrying the tile it ran as mr/nr counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -161,22 +160,22 @@ int main(int Argc, char **Argv) {
     Over.K = S;
     Ctx.Rep.addRow(std::move(Over));
 
-    // Planner-prior emission: a higher-is-better row with mr/nr counters
-    // for this exact (m, n, k) — what lookupPlanPrior scans for.
-    benchutil::ReportRow Prior;
-    Prior.Label = Label;
-    Prior.Series = "hot_plan";
-    Prior.Metric = "gflops";
-    Prior.Better = "higher";
-    Prior.Value = benchutil::gflops(2.0 * S * S * S, MHot.SecondsPerCall);
-    Prior.SecondsPerCall = MHot.SecondsPerCall;
-    Prior.Reps = MHot.Reps;
-    Prior.M = S;
-    Prior.N = S;
-    Prior.K = S;
-    Prior.Extra["mr"] = static_cast<double>(Choice->MR);
-    Prior.Extra["nr"] = static_cast<double>(Choice->NR);
-    Ctx.Rep.addRow(std::move(Prior));
+    // Throughput row: higher-is-better, with the tile as mr/nr counters
+    // for this exact (m, n, k).
+    benchutil::ReportRow Rate;
+    Rate.Label = Label;
+    Rate.Series = "hot_plan";
+    Rate.Metric = "gflops";
+    Rate.Better = "higher";
+    Rate.Value = benchutil::gflops(2.0 * S * S * S, MHot.SecondsPerCall);
+    Rate.SecondsPerCall = MHot.SecondsPerCall;
+    Rate.Reps = MHot.Reps;
+    Rate.M = S;
+    Rate.N = S;
+    Rate.K = S;
+    Rate.Extra["mr"] = static_cast<double>(Choice->MR);
+    Rate.Extra["nr"] = static_cast<double>(Choice->NR);
+    Ctx.Rep.addRow(std::move(Rate));
   }
   T.print();
 

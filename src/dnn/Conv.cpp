@@ -2,8 +2,6 @@
 
 #include "dnn/Conv.h"
 
-#include "gemm/Gemm.h"
-
 #include <vector>
 
 using namespace dnn;
@@ -69,19 +67,15 @@ void dnn::convDirect(const ConvParams &P, const float *In, const float *W,
   }
 }
 
-namespace {
-
-/// Shared IM2ROW lowering around a GEMM entry point: \p Gemm computes
-/// C = A * B (column-major, beta 0) for the layer's (M, N, K).
-template <typename GemmFn>
-exo::Error convViaGemmImpl(const ConvParams &P, const float *In,
-                           const float *W, float *Out, GemmFn &&Gemm) {
+exo::Error dnn::convViaGemm(const ConvParams &P, gemm::Engine &Engine,
+                            const float *In, const float *W, float *Out) {
   const int64_t M = P.gemmM(), N = P.gemmN(), K = P.gemmK();
   std::vector<float> A(M * K), B(K * N), C(M * N, 0.0f);
   im2row(P, In, A.data());
   weightsToMatrix(P, W, B.data());
 
-  if (exo::Error Err = Gemm(M, N, K, A.data(), B.data(), C.data()))
+  if (exo::Error Err = Engine.sgemm(M, N, K, 1.0f, A.data(), M, B.data(), K,
+                                    0.0f, C.data(), M))
     return Err;
 
   // The GEMM result is column-major (pixel, oc); outputs are HWC.
@@ -89,29 +83,4 @@ exo::Error convViaGemmImpl(const ConvParams &P, const float *In,
     for (int64_t Oc = 0; Oc < N; ++Oc)
       Out[Row * N + Oc] = C[Row + Oc * M];
   return exo::Error::success();
-}
-
-} // namespace
-
-exo::Error dnn::convViaGemm(const ConvParams &P, gemm::Engine &Engine,
-                            const float *In, const float *W, float *Out) {
-  return convViaGemmImpl(
-      P, In, W, Out,
-      [&](int64_t M, int64_t N, int64_t K, const float *A, const float *B,
-          float *C) {
-        return Engine.sgemm(M, N, K, 1.0f, A, M, B, K, 0.0f, C, M);
-      });
-}
-
-exo::Error dnn::convViaGemm(const ConvParams &P,
-                            gemm::KernelProvider &Provider, const float *In,
-                            const float *W, float *Out) {
-  gemm::GemmPlan Plan = gemm::GemmPlan::standard(Provider);
-  return convViaGemmImpl(
-      P, In, W, Out,
-      [&](int64_t M, int64_t N, int64_t K, const float *A, const float *B,
-          float *C) {
-        return gemm::blisGemm(Plan, Provider, M, N, K, 1.0f, A, M, B, K,
-                              0.0f, C, M);
-      });
 }

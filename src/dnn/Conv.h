@@ -13,7 +13,7 @@
 ///
 /// Layouts: activations are HWC (height, width, channel), weights are
 /// (kh, kw, ic, oc), outputs HWC. The im2row matrix is stored column-major
-/// (matching gemm::blisGemm's operand convention) with m = oh*ow rows.
+/// (matching gemm::Engine's operand convention) with m = oh*ow rows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +23,6 @@
 #include "dnn/Models.h"
 #include "exo/support/Error.h"
 #include "gemm/Engine.h"
-#include "gemm/MicroKernel.h"
 
 #include <cstdint>
 
@@ -62,14 +61,6 @@ void convDirect(const ConvParams &P, const float *In, const float *W,
 /// steady state of an inference loop) reuses the cached plan. Out is HWC
 /// like convDirect.
 exo::Error convViaGemm(const ConvParams &P, gemm::Engine &Engine,
-                       const float *In, const float *W, float *Out);
-
-/// Convolution through IM2ROW + the BLIS-like GEMM with the given
-/// micro-kernel provider. Out is HWC like convDirect.
-///
-/// Deprecated: prefer the Engine overload above, which plans the layer
-/// shape once instead of re-deriving blocking per call.
-exo::Error convViaGemm(const ConvParams &P, gemm::KernelProvider &Provider,
                        const float *In, const float *W, float *Out);
 
 } // namespace dnn

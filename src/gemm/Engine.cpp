@@ -34,9 +34,7 @@ struct PlanKey {
   int64_t M = 0, N = 0, K = 0;
   int64_t T = 1;
   const exo::IsaLib *Isa = nullptr;
-  /// DType of the call, as uint8_t. Last (and defaulted) so the f32 entry
-  /// points' aggregate initializers stay valid — omitting it is F32.
-  uint8_t Ty = 0;
+  uint8_t Ty = 0; ///< DType of the call
 
   bool operator<(const PlanKey &O) const {
     return std::tie(TA, TB, M, N, K, T, Isa, Ty) <
@@ -66,12 +64,19 @@ struct ExecPlan {
   std::mutex PoolMu;
   std::vector<std::unique_ptr<detail::GemmWorkspace>> Pool;
 
+  /// A pooled workspace, or a freshly sized one when every pooled
+  /// workspace is in use.
   std::unique_ptr<detail::GemmWorkspace> acquire() {
-    std::lock_guard<std::mutex> Lock(PoolMu);
-    if (Pool.empty())
-      return nullptr;
-    std::unique_ptr<detail::GemmWorkspace> W = std::move(Pool.back());
-    Pool.pop_back();
+    {
+      std::lock_guard<std::mutex> Lock(PoolMu);
+      if (!Pool.empty()) {
+        std::unique_ptr<detail::GemmWorkspace> W = std::move(Pool.back());
+        Pool.pop_back();
+        return W;
+      }
+    }
+    auto W = std::make_unique<detail::GemmWorkspace>();
+    W->ensure(G);
     return W;
   }
   void release(std::unique_ptr<detail::GemmWorkspace> W) {
@@ -128,8 +133,8 @@ struct Engine::Impl {
       Evictions{0}, Degenerate{0}, StickyErrors{0};
   std::atomic<uint64_t> BatchedItems{0}, BatchedGroups{0},
       BatchedCrossItem{0};
-  std::atomic<uint64_t> PlansFromModel{0}, PlansFromPrior{0},
-      PlansFromTuned{0}, PriorRejected{0};
+  std::atomic<uint64_t> PlansFromModel{0}, PlansFromTuned{0},
+      PriorRejected{0};
   std::atomic<uint64_t> GovGrants{0}, GovShapeClamped{0}, GovOccClamped{0},
       GovWidthSum{0};
 
@@ -181,6 +186,21 @@ struct Engine::Impl {
     return P;
   }
 
+  PlanKey key(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+              int64_t T) const {
+    return PlanKey{static_cast<uint8_t>(TA), static_cast<uint8_t>(TB), M, N,
+                   K, T, Cfg.Isa, static_cast<uint8_t>(Ty)};
+  }
+
+  /// The plan for \p Key: the cached one (built on first use), or — with
+  /// the plan cache off — a fresh build, counted as a miss and a build.
+  Expected<std::shared_ptr<ExecPlan>> plan(const PlanKey &Key);
+
+  /// Runs \p Call on \p Plan's geometry: on a governor-granted team when
+  /// \p Governed and the plan is wider than one, else at the plan width.
+  void execute(const ExecPlan &Plan, const detail::GemmCall &Call,
+               detail::GemmWorkspace &WS, bool Governed);
+
   Expected<std::shared_ptr<ExecPlan>> build(const PlanKey &Key);
   std::shared_ptr<ExecPlan> lookupOrBuild(const PlanKey &Key, Error &Err);
   void evictLocked(const PlanKey *Keep = nullptr);
@@ -190,143 +210,107 @@ struct Engine::Impl {
 
 Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
   EXO_OBS_SPAN("plan.build");
-  // Every entry point (sgemm, planFor, warm) funnels through here, so this
+  // Every entry point (gemm, planFor, warm) funnels through here, so this
   // is the one place the misconfiguration must be caught before the
   // fixed-series branch dereferences a null provider.
   if (Cfg.Series == EngineSeries::Custom && !Fixed)
     return errorf("gemm engine: custom series without a provider");
   const DType Ty = static_cast<DType>(Key.Ty);
 
-  // I8I32: no provider, no JIT — the typed executor's built-in K-grouped
-  // scalar dot runs the plan's fixed tile (Planner.h). Geometry and
-  // workspace sizing still flow through the shared machinery so the pooled
-  // steady state is identical to every other dtype.
+  auto P = std::make_shared<ExecPlan>();
+  MicroKernel Main;
   if (Ty == DType::I8I32) {
-    PlanChoice Choice = choosePlanWithDb(Key.M, Key.N, Key.K, nullptr, "",
-                                         nullptr, nullptr, Ty);
-    MicroKernel Main;
-    Main.MR = Choice.MR;
-    Main.NR = Choice.NR;
-    Main.Fn = nullptr; // unused: I8I32 geometries never call Main.Fn
-    GemmPlan Legacy;
-    Legacy.Blocks = analyticalBlockSizes(CacheConfig::host(), Choice.MR,
-                                         Choice.NR, dtypePackBytes(Ty));
-    if (Cfg.Blocks)
-      Legacy.Blocks = *Cfg.Blocks;
-    Legacy.PackMode = EdgePack::ZeroPad;
-    Legacy.Threads = Key.T;
-    PlansFromModel.fetch_add(1, std::memory_order_relaxed);
-    obs::mark("plan.source.model");
-    auto P = std::make_shared<ExecPlan>();
-    P->Choice = Choice;
-    P->Legacy = Legacy;
-    P->G = detail::deriveGeometry(Legacy, Main, Key.M, Key.N, Key.K);
-    P->G.Ty = Ty;
-    P->Pool.reserve(WorkspacePoolCap);
-    auto WS = std::make_unique<detail::GemmWorkspace>();
-    WS->ensure(P->G);
-    P->Pool.push_back(std::move(WS));
-    return P;
-  }
-
-  PlanChoice Choice;
-  std::shared_ptr<KernelProvider> Provider;
-  const bool WantExo = Cfg.Series == EngineSeries::Exo ||
-                       Cfg.Series == EngineSeries::Auto;
-  if (WantExo) {
-    if (Cfg.ForceMR > 0 && Cfg.ForceNR > 0) {
-      Choice = PlanChoice::make(Cfg.ForceMR, Cfg.ForceNR, PlanSource::Forced);
-    } else {
-      PlanOutcome Out;
-      Choice = choosePlanWithDb(Key.M, Key.N, Key.K, Cfg.Isa, Cfg.PriorPath,
-                                Cfg.TunedPriors ? &PriorDb::global() : nullptr,
-                                &Out, Ty);
-      PriorRejected.fetch_add(Out.PriorRejected + Out.TunedRejected,
-                              std::memory_order_relaxed);
-    }
-    Provider = exoProviderFor(Choice.MR, Choice.NR,
-                              Cfg.UnrollCompute || Choice.UnrollCompute);
+    // No provider, no JIT — the executor's built-in K-grouped scalar dot
+    // runs the plan's fixed tile (Planner.h); Main.Fn stays unused.
+    P->Choice = choosePlanWithDb(Key.M, Key.N, Key.K, nullptr, nullptr,
+                                 nullptr, Ty);
+    Main.MR = P->Choice.MR;
+    Main.NR = P->Choice.NR;
+    P->Legacy.Blocks = analyticalBlockSizes(CacheConfig::host(), Main.MR,
+                                            Main.NR, dtypePackBytes(Ty));
   } else {
-    Provider = Fixed;
-    MicroKernel Mk = Provider->main();
-    Choice = PlanChoice::make(Mk.MR, Mk.NR, PlanSource::Fixed);
-  }
+    PlanChoice Choice;
+    std::shared_ptr<KernelProvider> Provider;
+    const bool WantExo = Cfg.Series == EngineSeries::Exo ||
+                         Cfg.Series == EngineSeries::Auto;
+    if (WantExo) {
+      if (Cfg.ForceMR > 0 && Cfg.ForceNR > 0) {
+        Choice =
+            PlanChoice::make(Cfg.ForceMR, Cfg.ForceNR, PlanSource::Forced);
+      } else {
+        PlanOutcome Out;
+        Choice = choosePlanWithDb(
+            Key.M, Key.N, Key.K, Cfg.Isa,
+            Cfg.TunedPriors ? &PriorDb::global() : nullptr, &Out, Ty);
+        PriorRejected.fetch_add(Out.TunedRejected,
+                                std::memory_order_relaxed);
+      }
+      Provider = exoProviderFor(Choice.MR, Choice.NR,
+                                Cfg.UnrollCompute || Choice.UnrollCompute);
+    } else {
+      Provider = Fixed;
+      MicroKernel Mk = Provider->main();
+      Choice = PlanChoice::make(Mk.MR, Mk.NR, PlanSource::Fixed);
+    }
 
-  MicroKernel Main = Provider->main();
-  if (!Main.Fn && Cfg.Series == EngineSeries::Auto) {
-    // No generated kernel (JIT or compiler unavailable): degrade to the
-    // portable BLIS-style kernel so Auto engines always serve.
-    Provider = Fixed;
     Main = Provider->main();
-    Choice = PlanChoice::make(Main.MR, Main.NR, PlanSource::Fallback);
+    if (!Main.Fn && Cfg.Series == EngineSeries::Auto) {
+      // No generated kernel (JIT or compiler unavailable): degrade to the
+      // portable BLIS-style kernel so Auto engines always serve.
+      Provider = Fixed;
+      Main = Provider->main();
+      Choice = PlanChoice::make(Main.MR, Main.NR, PlanSource::Fallback);
+    }
+    if (!Main.Fn)
+      return errorf("gemm engine (%s): provider '%s' has no runnable kernel "
+                    "for %lldx%lldx%lld",
+                    Name, Provider->name(), static_cast<long long>(Key.M),
+                    static_cast<long long>(Key.N),
+                    static_cast<long long>(Key.K));
+    P->Provider = Provider;
+    P->Choice = Choice;
+    P->Legacy = GemmPlan::standard(*Provider);
+    if (Choice.Blocks)
+      P->Legacy.Blocks = *Choice.Blocks;
+    if (Cfg.PackMode)
+      P->Legacy.PackMode = *Cfg.PackMode;
   }
-  if (!Main.Fn)
-    return errorf("gemm engine (%s): provider '%s' has no runnable kernel "
-                  "for %lldx%lldx%lld",
-                  Name, Provider->name(), static_cast<long long>(Key.M),
-                  static_cast<long long>(Key.N),
-                  static_cast<long long>(Key.K));
-
-  GemmPlan Legacy = GemmPlan::standard(*Provider);
   if (Cfg.Blocks)
-    Legacy.Blocks = *Cfg.Blocks;
-  else if (Choice.Blocks)
-    Legacy.Blocks = *Choice.Blocks;
-  if (Cfg.PackMode)
-    Legacy.PackMode = *Cfg.PackMode;
-  Legacy.Threads = Key.T;
+    P->Legacy.Blocks = *Cfg.Blocks;
+  P->Legacy.Threads = Key.T;
 
   // Per-plan provenance: one count and one obs mark per plan built. Forced,
-  // fixed-series, and fallback plans mark but do not count — the three
-  // counters answer "which selection stage chose the tile", and those plans
-  // never ran selection.
-  switch (Choice.Src) {
-  case PlanSource::Model:
+  // fixed-series, and fallback plans mark but do not count — the counters
+  // answer "which selection stage chose the tile", and those plans never
+  // ran selection.
+  const PlanSource Src = P->Choice.Src;
+  if (Src == PlanSource::Model)
     PlansFromModel.fetch_add(1, std::memory_order_relaxed);
-    break;
-  case PlanSource::Prior:
-    PlansFromPrior.fetch_add(1, std::memory_order_relaxed);
-    break;
-  case PlanSource::Tuned:
+  else if (Src == PlanSource::Tuned)
     PlansFromTuned.fetch_add(1, std::memory_order_relaxed);
-    break;
-  default:
-    break;
-  }
-  obs::mark(Choice.Src == PlanSource::Model   ? "plan.source.model"
-            : Choice.Src == PlanSource::Prior ? "plan.source.prior"
-            : Choice.Src == PlanSource::Tuned ? "plan.source.tuned"
-                                              : "plan.source.other");
+  obs::mark(Src == PlanSource::Model   ? "plan.source.model"
+            : Src == PlanSource::Tuned ? "plan.source.tuned"
+                                       : "plan.source.other");
 
-  auto P = std::make_shared<ExecPlan>();
-  P->Provider = Provider;
-  P->Choice = Choice;
-  P->Legacy = Legacy;
-  P->G = detail::deriveGeometry(Legacy, Main, Key.M, Key.N, Key.K);
-  if (Ty != DType::F32) {
-    // F16/BF16: the plan's f32 kernel runs over convert-packed (always
-    // zero-padded) panels through the scratch tile; specialized edge
-    // kernels never dispatch, so none are resolved or JIT'd.
-    P->G.Ty = Ty;
+  P->G = detail::deriveGeometry(P->Legacy, Main, Key.M, Key.N, Key.K);
+  P->G.Ty = Ty;
+  if (Ty == DType::F32) {
+    detail::resolveEdgeKernels(*P->Provider, P->G, Key.N, P->Edges);
+    bool EdgeFallback = false;
+    for (const std::optional<MicroKernel> &E : P->Edges)
+      if (E && E->IsFallback)
+        EdgeFallback = true;
+    P->Provisional =
+        Cfg.Async && (Main.IsFallback || EdgeFallback || P->G.NeedBPad);
+  } else {
+    // Non-f32 plans run through the scratch tile over always zero-padded
+    // panels; specialized edge kernels never dispatch, so none are
+    // resolved or JIT'd.
     P->G.PackMode = EdgePack::ZeroPad;
     P->Provisional = Cfg.Async && Main.IsFallback;
-    P->Pool.reserve(WorkspacePoolCap);
-    auto WS = std::make_unique<detail::GemmWorkspace>();
-    WS->ensure(P->G);
-    P->Pool.push_back(std::move(WS));
-    return P;
   }
-  detail::resolveEdgeKernels(*Provider, P->G, Key.N, P->Edges);
-  bool EdgeFallback = false;
-  for (const std::optional<MicroKernel> &E : P->Edges)
-    if (E && E->IsFallback)
-      EdgeFallback = true;
-  P->Provisional =
-      Cfg.Async && (Main.IsFallback || EdgeFallback || P->G.NeedBPad);
   P->Pool.reserve(WorkspacePoolCap);
-  auto WS = std::make_unique<detail::GemmWorkspace>();
-  WS->ensure(P->G);
-  P->Pool.push_back(std::move(WS));
+  P->Pool.push_back(P->acquire());
   return P;
 }
 
@@ -447,6 +431,39 @@ void Engine::Impl::maybeRebuild(const PlanKey &Key,
   Old->Rebuilding.store(false);
 }
 
+Expected<std::shared_ptr<ExecPlan>> Engine::Impl::plan(const PlanKey &Key) {
+  if (!CacheOn) {
+    Misses.fetch_add(1, std::memory_order_relaxed);
+    Expected<std::shared_ptr<ExecPlan>> Built = build(Key);
+    if (Built)
+      Builds.fetch_add(1, std::memory_order_relaxed);
+    return Built;
+  }
+  Error Err = Error::success();
+  std::shared_ptr<ExecPlan> Plan = lookupOrBuild(Key, Err);
+  if (!Plan)
+    return Err;
+  return Plan;
+}
+
+void Engine::Impl::execute(const ExecPlan &Plan, const detail::GemmCall &Call,
+                           detail::GemmWorkspace &WS, bool Governed) {
+  // Governed dispatch: the process-wide governor grants this call a team
+  // width in [1, plan width] from the shape model and live occupancy;
+  // results are bitwise identical at every width (Gemm.h), so this only
+  // changes scheduling. Nested calls are never governed (a reservation
+  // cannot form from inside a pool job) and take executeGemm's collapse
+  // path instead.
+  if (Governed && Plan.G.T > 1) {
+    Governor::Grant Grant;
+    Governor::global().acquire(Call.M, Call.N, Call.K, Plan.G.T, Grant);
+    countGrant(Grant);
+    detail::executeGemmReserved(Plan.G, Call, WS, Grant.reservation());
+  } else {
+    detail::executeGemm(Plan.G, Call, WS);
+  }
+}
+
 Engine::Engine() : Engine(EngineConfig{}) {}
 
 Engine::Engine(const EngineConfig &Cfg) : I(new Impl) {
@@ -490,95 +507,20 @@ Engine &Engine::global() {
   return E;
 }
 
-Error Engine::sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                    float Alpha, const float *A, int64_t Lda, const float *B,
-                    int64_t Ldb, float Beta, float *C, int64_t Ldc) {
-  if (M < 0 || N < 0 || K < 0)
-    return errorf("gemm engine: negative dimension");
-  // Degenerate quick returns, ahead of the plan cache: trivial calls never
-  // plan, allocate, or read A/B (BLAS semantics; beta == 0 overwrites).
-  if (M == 0 || N == 0) {
-    I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-    return Error::success();
-  }
-  if (K == 0 || Alpha == 0.0f) {
-    I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-    detail::scaleByBeta(M, N, Beta, C, Ldc);
-    return Error::success();
-  }
-  if (I->Cfg.Series == EngineSeries::Custom && !I->Fixed)
-    return errorf("gemm engine: custom series without a provider");
-
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa};
-
-  std::shared_ptr<ExecPlan> Plan;
-  if (!I->CacheOn) {
-    I->Misses.fetch_add(1, std::memory_order_relaxed);
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    I->Builds.fetch_add(1, std::memory_order_relaxed);
-    Plan = Built.take();
-  } else {
-    Error Err = Error::success();
-    Plan = I->lookupOrBuild(Key, Err);
-    if (!Plan)
-      return Err;
-  }
-
-  if (Plan->Provisional &&
-      (Plan->Calls.fetch_add(1, std::memory_order_relaxed) + 1) %
-              RebuildPeriod ==
-          0)
-    I->maybeRebuild(Key, Plan);
-
-  std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-  if (!WS) {
-    WS = std::make_unique<detail::GemmWorkspace>();
-    WS->ensure(Plan->G);
-  }
-  const detail::GemmCall Call{TA, TB, M,    N, K,   Alpha, A,
-                              Lda, B,  Ldb, Beta, C, Ldc};
-  // Governed dispatch: the process-wide governor grants this call a team
-  // width in [1, plan width] from the shape model and live occupancy;
-  // results are bitwise identical at every width (Gemm.h), so this only
-  // changes scheduling. Nested calls skip the governor and take
-  // executeGemm's collapse path — a reservation cannot form from inside a
-  // pool job.
-  if (I->governorOn() && Plan->G.T > 1 &&
-      !ThreadPool::global().inParallel()) {
-    Governor::Grant Grant;
-    Governor::global().acquire(M, N, K, Plan->G.T, Grant);
-    I->countGrant(Grant);
-    detail::executeGemmReserved(Plan->G, Call, *WS, Grant.reservation());
-  } else {
-    detail::executeGemm(Plan->G, Call, *WS);
-  }
-  Plan->release(std::move(WS));
-  return Error::success();
-}
-
 Error Engine::gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                    int64_t K, double Alpha, const void *A, int64_t Lda,
                    const void *B, int64_t Ldb, double Beta, void *C,
                    int64_t Ldc) {
-  // F32 takes the historical path verbatim — same code, bitwise-identical
-  // results (the front doors differ only in spelling).
-  if (Ty == DType::F32)
-    return sgemm(TA, TB, M, N, K, static_cast<float>(Alpha),
-                 static_cast<const float *>(A), Lda,
-                 static_cast<const float *>(B), Ldb,
-                 static_cast<float>(Beta), static_cast<float *>(C), Ldc);
-
   if (M < 0 || N < 0 || K < 0)
     return errorf("gemm engine: negative dimension");
-  int64_t AlphaI = 1, BetaI = 1;
+  detail::GemmCall Call{TA, TB,  M, N,   K,
+                        static_cast<float>(Alpha),
+                        A,  Lda, B, Ldb,
+                        static_cast<float>(Beta),
+                        C,  Ldc};
+  // Alpha == 0 as the executor would apply it: in f32 for the float
+  // dtypes, as the exact integer for I8I32.
+  bool AlphaZero = Call.Alpha == 0.0f;
   if (Ty == DType::I8I32) {
     // Integer alpha/beta only: they scale the i32 accumulator exactly.
     // A fractional scale is a quantization policy decision that belongs in
@@ -589,81 +531,48 @@ Error Engine::gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
       return errorf("gemm engine: i8 alpha/beta must be exact integers "
                     "(got alpha=%g beta=%g)",
                     Alpha, Beta);
-    AlphaI = static_cast<int64_t>(Alpha);
-    BetaI = static_cast<int64_t>(Beta);
+    Call.AlphaI = static_cast<int64_t>(Alpha);
+    Call.BetaI = static_cast<int64_t>(Beta);
+    AlphaZero = Call.AlphaI == 0;
   }
-  // Degenerate quick returns, in storage type (beta == 0 overwrites; A/B
-  // never read — the same BLAS semantics as sgemm).
+  // Degenerate quick returns, ahead of the plan cache: trivial calls never
+  // plan, allocate, or read A/B (BLAS semantics; beta == 0 overwrites in
+  // storage type).
   if (M == 0 || N == 0) {
     I->Degenerate.fetch_add(1, std::memory_order_relaxed);
     return Error::success();
   }
-  if (K == 0 || Alpha == 0.0) {
+  if (K == 0 || AlphaZero) {
     I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-    detail::scaleByBetaTyped(Ty, M, N, Beta, C, Ldc);
+    detail::scaleByBeta(Ty, M, N, Beta, C, Ldc);
     return Error::success();
   }
   if (I->Cfg.Series == EngineSeries::Custom && !I->Fixed)
     return errorf("gemm engine: custom series without a provider");
 
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa,
-              static_cast<uint8_t>(Ty)};
-
-  std::shared_ptr<ExecPlan> Plan;
-  if (!I->CacheOn) {
-    I->Misses.fetch_add(1, std::memory_order_relaxed);
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    I->Builds.fetch_add(1, std::memory_order_relaxed);
-    Plan = Built.take();
-  } else {
-    Error Err = Error::success();
-    Plan = I->lookupOrBuild(Key, Err);
-    if (!Plan)
-      return Err;
-  }
-
-  if (Plan->Provisional &&
-      (Plan->Calls.fetch_add(1, std::memory_order_relaxed) + 1) %
+  const PlanKey Key = I->key(Ty, TA, TB, M, N, K, I->plannedThreads());
+  Expected<std::shared_ptr<ExecPlan>> Planned = I->plan(Key);
+  if (!Planned)
+    return Planned.takeError();
+  ExecPlan &Plan = **Planned;
+  if (Plan.Provisional &&
+      (Plan.Calls.fetch_add(1, std::memory_order_relaxed) + 1) %
               RebuildPeriod ==
           0)
-    I->maybeRebuild(Key, Plan);
+    I->maybeRebuild(Key, *Planned);
 
-  std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-  if (!WS) {
-    WS = std::make_unique<detail::GemmWorkspace>();
-    WS->ensure(Plan->G);
-  }
-  detail::GemmCallT Call;
-  Call.Ty = Ty;
-  Call.TA = TA;
-  Call.TB = TB;
-  Call.M = M;
-  Call.N = N;
-  Call.K = K;
-  Call.Alpha = static_cast<float>(Alpha);
-  Call.Beta = static_cast<float>(Beta);
-  Call.AlphaI = AlphaI;
-  Call.BetaI = BetaI;
-  Call.A = A;
-  Call.Lda = Lda;
-  Call.B = B;
-  Call.Ldb = Ldb;
-  Call.C = C;
-  Call.Ldc = Ldc;
-  // Typed dispatch runs at the plan width (the governor's reserved-team
-  // form exists only for the f32 executor); nested calls still collapse to
-  // width 1 inside executeGemmTyped, so the pool never deadlocks.
-  detail::executeGemmTyped(Plan->G, Call, *WS);
-  Plan->release(std::move(WS));
+  std::unique_ptr<detail::GemmWorkspace> WS = Plan.acquire();
+  I->execute(Plan, Call, *WS,
+             I->governorOn() && !ThreadPool::global().inParallel());
+  Plan.release(std::move(WS));
   return Error::success();
+}
+
+Error Engine::sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+                    float Alpha, const float *A, int64_t Lda, const float *B,
+                    int64_t Ldb, float Beta, float *C, int64_t Ldc) {
+  return gemm(DType::F32, TA, TB, M, N, K, Alpha, A, Lda, B, Ldb, Beta, C,
+              Ldc);
 }
 
 namespace {
@@ -735,7 +644,7 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
     }
     if (It.K == 0 || It.Alpha == 0.0f) {
       I->Degenerate.fetch_add(1, std::memory_order_relaxed);
-      detail::scaleByBeta(It.M, It.N, It.Beta, It.C, It.Ldc);
+      detail::scaleByBeta(DType::F32, It.M, It.N, It.Beta, It.C, It.Ldc);
       continue;
     }
     Groups[{static_cast<uint8_t>(It.TA), static_cast<uint8_t>(It.TB), It.M,
@@ -754,22 +663,13 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
     // Cross-item groups run every item single-threaded, so they want the
     // T == 1 plan — a distinct cache key from the intra-item plan, which
     // is exactly right: the two strategies use different geometry.
-    PlanKey Key{TA, TB, M, N, K, Cross ? 1 : T, I->Cfg.Isa};
-
-    std::shared_ptr<ExecPlan> Plan;
-    if (!I->CacheOn) {
-      I->Misses.fetch_add(1, std::memory_order_relaxed);
-      Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-      if (!Built)
-        return Built.takeError();
-      I->Builds.fetch_add(1, std::memory_order_relaxed);
-      Plan = Built.take();
-    } else {
-      Error Err = Error::success();
-      Plan = I->lookupOrBuild(Key, Err);
-      if (!Plan)
-        return Err;
-    }
+    const PlanKey Key = I->key(DType::F32, static_cast<Trans>(TA),
+                               static_cast<Trans>(TB), M, N, K,
+                               Cross ? 1 : T);
+    Expected<std::shared_ptr<ExecPlan>> Planned = I->plan(Key);
+    if (!Planned)
+      return Planned.takeError();
+    const std::shared_ptr<ExecPlan> &Plan = *Planned;
     I->BatchedGroups.fetch_add(1, std::memory_order_relaxed);
 
     if (Plan->Provisional) {
@@ -783,29 +683,18 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
     }
 
     if (!Cross) {
-      // Intra-item slab parallelism: the sgemm execution body, amortizing
-      // one workspace acquisition over the group.
+      // Intra-item slab parallelism: the gemm execution body, amortizing
+      // one workspace acquisition over the group. Governed per item, like
+      // gemm: each item's grant tracks occupancy as sibling callers come
+      // and go over a long batch.
       std::unique_ptr<detail::GemmWorkspace> WS = Plan->acquire();
-      if (!WS) {
-        WS = std::make_unique<detail::GemmWorkspace>();
-        WS->ensure(Plan->G);
-      }
       for (int64_t Ix : Idx) {
         const GemmBatchItem &It = Items[Ix];
-        const detail::GemmCall Call{It.TA,  It.TB, It.M,    It.N, It.K,
-                                    It.Alpha, It.A, It.Lda, It.B, It.Ldb,
-                                    It.Beta, It.C, It.Ldc};
-        if (Governed && Plan->G.T > 1) {
-          // Per item, like sgemm: each item's grant tracks occupancy as
-          // sibling callers come and go over a long batch.
-          Governor::Grant Grant;
-          Governor::global().acquire(It.M, It.N, It.K, Plan->G.T, Grant);
-          I->countGrant(Grant);
-          detail::executeGemmReserved(Plan->G, Call, *WS,
-                                      Grant.reservation());
-        } else {
-          detail::executeGemm(Plan->G, Call, *WS);
-        }
+        I->execute(*Plan,
+                   detail::GemmCall{It.TA, It.TB, It.M, It.N, It.K, It.Alpha,
+                                    It.A, It.Lda, It.B, It.Ldb, It.Beta,
+                                    It.C, It.Ldc},
+                   *WS, Governed);
       }
       Plan->release(std::move(WS));
       continue;
@@ -838,10 +727,6 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
       std::vector<detail::GemmWorkspace *> WSs(static_cast<size_t>(W));
       for (int64_t WI = 0; WI < W; ++WI) {
         Owned[WI] = Plan->acquire();
-        if (!Owned[WI]) {
-          Owned[WI] = std::make_unique<detail::GemmWorkspace>();
-          Owned[WI]->ensure(Plan->G);
-        }
         WSs[WI] = Owned[WI].get();
       }
       BatchJob Job{&Plan->G, Items, Idx.data() + At, NItems, W, WSs.data()};
@@ -898,50 +783,24 @@ Expected<PlanChoice> Engine::planFor(Trans TA, Trans TB, int64_t M,
                                      int64_t N, int64_t K) {
   if (M <= 0 || N <= 0 || K <= 0)
     return errorf("gemm engine: planFor needs positive dimensions");
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa};
-  if (!I->CacheOn) {
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    return Built.take()->Choice;
-  }
-  Error Err = Error::success();
-  std::shared_ptr<ExecPlan> Plan = I->lookupOrBuild(Key, Err);
+  Expected<std::shared_ptr<ExecPlan>> Plan =
+      I->plan(I->key(DType::F32, TA, TB, M, N, K, I->plannedThreads()));
   if (!Plan)
-    return std::move(Err);
-  return Plan->Choice;
+    return Plan.takeError();
+  return (*Plan)->Choice;
 }
 
-Error Engine::warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                   bool Wait) {
+Error Engine::warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
+                   int64_t K, bool Wait) {
   if (M <= 0 || N <= 0 || K <= 0)
     return Error::success(); // degenerate shapes never plan
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa};
-  std::shared_ptr<ExecPlan> Plan;
-  if (!I->CacheOn) {
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    Plan = Built.take();
-  } else {
-    Error Err = Error::success();
-    Plan = I->lookupOrBuild(Key, Err);
-    if (!Plan)
-      return Err;
-  }
-  const PlanChoice &Choice = Plan->Choice;
+  Expected<std::shared_ptr<ExecPlan>> Plan =
+      I->plan(I->key(Ty, TA, TB, M, N, K, I->plannedThreads()));
+  if (!Plan)
+    return Plan.takeError();
+  if (Ty == DType::I8I32)
+    return Error::success(); // built-in scalar dot: nothing to precompile
+  const PlanChoice &Choice = (*Plan)->Choice;
   const bool WantExo = I->Cfg.Series == EngineSeries::Exo ||
                        (I->Cfg.Series == EngineSeries::Auto &&
                         Choice.Src != PlanSource::Fallback);
@@ -951,68 +810,25 @@ Error Engine::warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
   // problem dispatches) so the disk cache serves every later process. The
   // plan's resolved geometry — not the host cache model — supplies NC, so
   // an EngineConfig::Blocks override prefetches the edges it will use.
+  // F16/BF16 plans never dispatch edge kernels: only their main config
+  // prefetches.
   const exo::IsaLib *PIsa =
       I->Cfg.Isa ? I->Cfg.Isa : ukr::bestIsaForMr(Choice.MR);
   std::vector<ukr::UkrConfig> Family;
   Family.push_back(
       ukr::shapeConfig(Choice.MR, Choice.NR, PIsa, I->Cfg.UnrollCompute));
-  const int64_t Nc = std::max<int64_t>(Plan->G.Nc, 1);
-  std::vector<bool> Seen(static_cast<size_t>(Choice.NR), false);
-  for (int64_t Jc = 0; Jc < N; Jc += Nc) {
-    int64_t W = std::min(Nc, N - Jc) % Choice.NR;
-    if (W == 0 || Seen[W])
-      continue;
-    Seen[W] = true;
-    Family.push_back(
-        ukr::shapeConfig(Choice.MR, W, PIsa, I->Cfg.UnrollCompute));
+  if (Ty == DType::F32) {
+    const int64_t Nc = std::max<int64_t>((*Plan)->G.Nc, 1);
+    std::vector<bool> Seen(static_cast<size_t>(Choice.NR), false);
+    for (int64_t Jc = 0; Jc < N; Jc += Nc) {
+      int64_t W = std::min(Nc, N - Jc) % Choice.NR;
+      if (W == 0 || Seen[W])
+        continue;
+      Seen[W] = true;
+      Family.push_back(
+          ukr::shapeConfig(Choice.MR, W, PIsa, I->Cfg.UnrollCompute));
+    }
   }
-  ukr::KernelService::global().prefetchBatch(Family);
-  if (Wait)
-    ukr::KernelService::global().wait();
-  return Error::success();
-}
-
-Error Engine::warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                   int64_t K, bool Wait) {
-  if (Ty == DType::F32)
-    return warm(TA, TB, M, N, K, Wait);
-  if (M <= 0 || N <= 0 || K <= 0)
-    return Error::success(); // degenerate shapes never plan
-  PlanKey Key{static_cast<uint8_t>(TA),
-              static_cast<uint8_t>(TB),
-              M,
-              N,
-              K,
-              I->plannedThreads(),
-              I->Cfg.Isa,
-              static_cast<uint8_t>(Ty)};
-  std::shared_ptr<ExecPlan> Plan;
-  if (!I->CacheOn) {
-    Expected<std::shared_ptr<ExecPlan>> Built = I->build(Key);
-    if (!Built)
-      return Built.takeError();
-    Plan = Built.take();
-  } else {
-    Error Err = Error::success();
-    Plan = I->lookupOrBuild(Key, Err);
-    if (!Plan)
-      return Err;
-  }
-  if (Ty == DType::I8I32)
-    return Error::success(); // built-in scalar dot: nothing to precompile
-  // F16/BF16 plans execute the f32 main kernel over convert-packed panels
-  // and never dispatch edge kernels, so only the main config prefetches.
-  const PlanChoice &Choice = Plan->Choice;
-  const bool WantExo = I->Cfg.Series == EngineSeries::Exo ||
-                       (I->Cfg.Series == EngineSeries::Auto &&
-                        Choice.Src != PlanSource::Fallback);
-  if (!WantExo)
-    return Error::success();
-  const exo::IsaLib *PIsa =
-      I->Cfg.Isa ? I->Cfg.Isa : ukr::bestIsaForMr(Choice.MR);
-  std::vector<ukr::UkrConfig> Family;
-  Family.push_back(
-      ukr::shapeConfig(Choice.MR, Choice.NR, PIsa, I->Cfg.UnrollCompute));
   ukr::KernelService::global().prefetchBatch(Family);
   if (Wait)
     ukr::KernelService::global().wait();
@@ -1051,7 +867,6 @@ EngineStats Engine::stats() const {
   S.BatchedGroups = I->BatchedGroups.load(std::memory_order_relaxed);
   S.BatchedCrossItem = I->BatchedCrossItem.load(std::memory_order_relaxed);
   S.PlansFromModel = I->PlansFromModel.load(std::memory_order_relaxed);
-  S.PlansFromPrior = I->PlansFromPrior.load(std::memory_order_relaxed);
   S.PlansFromTuned = I->PlansFromTuned.load(std::memory_order_relaxed);
   S.PriorRejected = I->PriorRejected.load(std::memory_order_relaxed);
   S.GovGrants = I->GovGrants.load(std::memory_order_relaxed);
@@ -1081,7 +896,6 @@ void Engine::resetStats() {
   I->BatchedGroups.store(0);
   I->BatchedCrossItem.store(0);
   I->PlansFromModel.store(0);
-  I->PlansFromPrior.store(0);
   I->PlansFromTuned.store(0);
   I->PriorRejected.store(0);
   I->GovGrants.store(0);

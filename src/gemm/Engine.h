@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving-path entry point: `Engine::sgemm` looks like a BLAS call,
-/// but behind it every distinct problem shape is planned once — micro-
+/// The serving-path entry point: `Engine::gemm` (and its f32 spelling
+/// `Engine::sgemm`) looks like a BLAS call, but behind it every distinct
+/// problem shape and dtype is planned once — micro-
 /// kernel tile chosen by the planner (Planner.h), kernels resolved through
 /// the provider, blocking clamped, team factorized, edge kernels probed —
 /// and the resulting ExecPlan is cached and re-executed on every later
@@ -17,7 +18,8 @@
 ///   - Results are bitwise identical to the legacy blisGemm/blisGemmT path
 ///     for the same (provider, tile, plan): both front doors execute the
 ///     exact same detail::executeGemm (enforced by EngineTest's
-///     differential sweep).
+///     differential sweep). Every dtype runs that one executor, and with
+///     the governor on every dtype runs on granted teams.
 ///   - Degenerate calls (m/n/k == 0, alpha == 0) return before touching
 ///     the plan cache and never allocate or plan.
 ///   - The steady state performs zero heap allocations per call: plans are
@@ -29,9 +31,8 @@
 /// requesters for the same shape wait rather than duplicate the JIT work).
 ///
 /// Knobs: EXO_GEMM_PLAN_CACHE (0 disables caching — plan per call),
-/// EXO_GEMM_PLAN_CACHE_CAP (entry cap, approximate-LRU eviction past it),
-/// EXO_GEMM_PLAN_PRIOR (baseline JSON consulted by the planner); see
-/// docs/KNOBS.md.
+/// EXO_GEMM_PLAN_CACHE_CAP (entry cap, approximate-LRU eviction past it);
+/// see docs/KNOBS.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -84,11 +85,8 @@ struct EngineConfig {
   /// EXO_GEMM_PLAN_CACHE_CAP (default: on, 256 entries).
   int PlanCache = -1;
   int64_t PlanCacheCap = -1;
-  /// Measured-prior baseline for the planner; "" defers to
-  /// EXO_GEMM_PLAN_PRIOR (unset: analytical model only).
-  std::string PriorPath;
   /// Consult the autotuner's persistent prior database (PriorDb::global(),
-  /// rooted at EXO_GEMM_PRIOR_DB) before the BENCH prior and the model.
+  /// rooted at EXO_GEMM_PRIOR_DB) before the analytical model.
   /// false is the ablation arm benches use to measure the model alone.
   bool TunedPriors = true;
   /// Governed dispatch (Governor.h, docs/CONCURRENCY.md): the per-call
@@ -115,10 +113,9 @@ struct EngineStats {
   uint64_t BatchedCrossItem = 0; ///< items run whole-item across the pool
   // Per-plan provenance (PlanSource), counted at build time.
   uint64_t PlansFromModel = 0; ///< analytical-model tiles
-  uint64_t PlansFromPrior = 0; ///< BENCH-baseline prior tiles
   uint64_t PlansFromTuned = 0; ///< autotuner prior-database tiles
-  /// Prior rows/records rejected during selection: BENCH rows inadmissible
-  /// under the chosen ISA plus tuned records failing the never-lose gate.
+  /// Tuned prior records rejected during selection (inadmissible tile, or
+  /// failing the never-lose gate).
   uint64_t PriorRejected = 0;
   // Governed dispatch (EngineConfig::Governor; zeros when off).
   uint64_t GovGrants = 0;       ///< calls that went through the governor
@@ -164,11 +161,11 @@ public:
   /// The process-wide default-configured Engine (examples, dnn drivers).
   static Engine &global();
 
-  /// The typed front door: C = alpha * op(A) * op(B) + beta * C,
+  /// The front door: C = alpha * op(A) * op(B) + beta * C,
   /// column-major, with operand storage in \p Ty's element types
   /// (dtypeInBytes / dtypeOutBytes; docs/PRECISION.md):
   ///
-  ///   F32    identical — bitwise — to sgemm below (it runs the same code).
+  ///   F32    float storage; sgemm below is this door.
   ///   F16    A/B/C are IEEE binary16 (uint16_t storage); FMAs in f32 over
   ///   BF16   convert-packed panels (bf16 likewise), alpha/beta applied in
   ///          f32, C rounded to storage (RNE) once per Kc depth block.
@@ -177,20 +174,18 @@ public:
   ///          (a fractional scale is rejected — quantization policy lives
   ///          in the caller).
   ///
-  /// Degenerate semantics match sgemm (beta == 0 overwrites in storage
-  /// type; A/B unread). Every dtype flows through the same plan cache,
-  /// pooled workspaces, and five-loop executor; plans are keyed by dtype.
+  /// Degenerate calls (m/n/k == 0, alpha == 0) return before planning:
+  /// beta == 0 overwrites in storage type and A/B are never read. Every
+  /// dtype flows through the same plan cache, pooled workspaces, governor
+  /// and five-loop executor; plans are keyed by dtype. Fails on negative
+  /// dimensions or when no runnable kernel exists for the shape.
   exo::Error gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, double Alpha, const void *A, int64_t Lda,
                   const void *B, int64_t Ldb, double Beta, void *C,
                   int64_t Ldc);
 
-  /// C = alpha * op(A) * op(B) + beta * C, column-major, through the plan
-  /// cache — the f32 door of gemm() above (same plans, same executor;
-  /// kept as the BLAS-shaped entry the rest of the stack calls). Identical
-  /// semantics to blisGemmT (beta == 0 overwrites, A/B unread on
-  /// degenerate calls); fails on negative dimensions or when no runnable
-  /// kernel exists for the shape.
+  /// gemm(DType::F32, ...): the BLAS-shaped f32 entry the rest of the stack
+  /// calls. Identical semantics to blisGemmT.
   exo::Error sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
                    float Alpha, const float *A, int64_t Lda, const float *B,
                    int64_t Ldb, float Beta, float *C, int64_t Ldc);
@@ -235,17 +230,18 @@ public:
                                  int64_t BatchCount);
 
   /// Builds (and caches) the plan for a shape ahead of traffic and
-  /// prefetches its kernel family through KernelService. \p Wait blocks
-  /// until the background builds resolve, so the next sgemm runs fully
-  /// specialized — the `ukr_cachectl warm --shape/--model` path.
-  exo::Error warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                  bool Wait = true);
-
-  /// Dtype-aware warm-up (`ukr_cachectl warm --shape --dtype`): builds the
-  /// typed plan and prefetches its (single-config, for non-f32) kernel
-  /// family. F32 is exactly the overload above.
+  /// prefetches its kernel family through KernelService (for f16/bf16 the
+  /// main kernel only; i8 has nothing to compile). \p Wait blocks until
+  /// the background builds resolve, so the next call runs fully
+  /// specialized — the `ukr_cachectl warm --shape/--model [--dtype]` path.
   exo::Error warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, bool Wait = true);
+
+  /// f32 warm-up.
+  exo::Error warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+                  bool Wait = true) {
+    return warm(DType::F32, TA, TB, M, N, K, Wait);
+  }
 
   /// Tile + provider the cached (or freshly built) plan for this shape
   /// uses; builds the plan as a side effect. For tests and bench labels.

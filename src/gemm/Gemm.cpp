@@ -25,21 +25,6 @@ GemmPlan GemmPlan::standard(KernelProvider &P) {
   return Plan;
 }
 
-void detail::scaleByBeta(int64_t M, int64_t N, float Beta, float *C,
-                         int64_t Ldc) {
-  // Beta == 0 must *overwrite*, not scale: 0 * NaN == NaN, and serving
-  // workloads hand in pooled, uninitialized C buffers (the classic BLAS
-  // beta-zero rule).
-  for (int64_t J = 0; J < N; ++J) {
-    float *Col = C + J * Ldc;
-    if (Beta == 0.0f)
-      std::fill(Col, Col + M, 0.0f);
-    else
-      for (int64_t I = 0; I < M; ++I)
-        Col[I] *= Beta;
-  }
-}
-
 detail::GemmGeometry detail::deriveGeometry(const GemmPlan &Plan,
                                             const MicroKernel &Main,
                                             int64_t M, int64_t N, int64_t K) {
@@ -156,73 +141,338 @@ struct TeamJob {
   TeamBarrier *Bar;
 };
 
-/// Same shape for the typed executor's call bundle.
-struct TeamJobT {
-  const detail::GemmGeometry *G;
-  const detail::GemmCallT *Call;
-  detail::GemmWorkspace *WS;
-  TeamBarrier *Bar;
+/// Where element (r, c) of the logical op(X) block at (R0, C0) lives:
+/// X[Off + r * RS + c * CS]. Transposition swaps the strides — which is how
+/// packing absorbs it.
+struct OpView {
+  int64_t Off, RS, CS;
+};
+inline OpView opView(Trans T, int64_t Ld, int64_t R0, int64_t C0) {
+  return T == Trans::None ? OpView{R0 + C0 * Ld, 1, Ld}
+                          : OpView{C0 + R0 * Ld, Ld, 1};
+}
+
+//===----------------------------------------------------------------------===//
+// Element policies
+//
+// Everything in the five-loop macro-kernel that depends on the dtype. A
+// policy is constructed per team member over that member's slice of the
+// workspace and provides:
+//
+//   betaIsOne(Cl)                      static; skip the pre-scale entirely
+//   scaleColumn(Cl, Row, Col, Len)     static; C[Row.., Col] *= beta
+//                                      (beta == 0 overwrites, NaN-safe)
+//   packB(P, J0, W, Pc, KcEff)         pack B panel P (W columns at J0)
+//   packA(Ic, Pc, McEff, KcEff)        pack this member's A block
+//   strip(P, NrEff, KcEff)             select strip P's B panel (and kernel)
+//   tile(Ir, Row, Col, MrEff, NrEff, KcEff)
+//                                      one micro-tile update of C at
+//                                      (Row, Col) from A panel Ir / Mr
+//
+// runTeamMember is instantiated once per policy, so no tile pays a
+// per-dtype branch.
+//===----------------------------------------------------------------------===//
+
+/// F32: the kernels write C directly; edge strips dispatch their
+/// specialized kernel or re-pad through the scratch tile.
+struct F32Elem {
+  const detail::GemmGeometry &G;
+  const detail::GemmCall &Cl;
+  // Per-tile scalars held by value, so they stay in registers across the
+  // opaque kernel calls.
+  const int64_t Mr, Nr, Ldc;
+  float *const C;
+  const KernelFn Main;
+  float *const BBuf, *const ABuf, *const Scratch, *const BPad;
+  // Current strip (set by strip()).
+  const float *BPanel = nullptr;
+  KernelFn StripFn = nullptr;
+  bool Padded = false;
+
+  F32Elem(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
+          detail::GemmWorkspace &WS, int64_t Tid)
+      : G(G), Cl(Cl), Mr(G.Mr), Nr(G.Nr), Ldc(Cl.Ldc),
+        C(static_cast<float *>(Cl.C)), Main(G.Main.Fn),
+        BBuf(WS.BBuf.data()), ABuf(WS.ABufs[Tid].data()),
+        Scratch(WS.Scratches[Tid].data()),
+        BPad(WS.BPads[Tid].empty() ? nullptr : WS.BPads[Tid].data()) {}
+
+  static bool betaIsOne(const detail::GemmCall &Cl) {
+    return Cl.Beta == 1.0f;
+  }
+  static void scaleColumn(const detail::GemmCall &Cl, int64_t Row,
+                          int64_t Col, int64_t Len) {
+    float *P = static_cast<float *>(Cl.C) + Row + Col * Cl.Ldc;
+    if (Cl.Beta == 0.0f)
+      std::fill(P, P + Len, 0.0f);
+    else
+      for (int64_t I = 0; I < Len; ++I)
+        P[I] *= Cl.Beta;
+  }
+
+  void packB(int64_t P, int64_t J0, int64_t W, int64_t Pc, int64_t KcEff) {
+    // Packing panel by panel reproduces the monolithic layout exactly (slot
+    // stride KcEff * Nr; only the last panel can be partial).
+    const OpView V = opView(Cl.TB, Cl.Ldb, Pc, J0);
+    packBStrided(static_cast<const float *>(Cl.B) + V.Off, V.RS, V.CS, KcEff,
+                 W, Nr, /*Alpha=*/1.0f, G.PackMode, BBuf + P * KcEff * Nr);
+  }
+
+  void packA(int64_t Ic, int64_t Pc, int64_t McEff, int64_t KcEff) {
+    // A panels are always zero-padded to the full Mr: edge kernels keep the
+    // full vector width along m and tile() masks the copy-out instead (rows
+    // >= mr_eff contribute zeros).
+    const OpView V = opView(Cl.TA, Cl.Lda, Ic, Pc);
+    packAStrided(static_cast<const float *>(Cl.A) + V.Off, V.RS, V.CS, McEff,
+                 KcEff, Mr, Cl.Alpha, EdgePack::ZeroPad, ABuf);
+  }
+
+  void strip(int64_t P, int64_t NrEff, int64_t KcEff) {
+    BPanel = BBuf + P * KcEff * Nr;
+    // The edge kernel depends only on the strip width; resolved once per
+    // plan (or per legacy call). A Tight-mode strip without its specialized
+    // kernel re-pads the tight panel and runs the monolithic kernel through
+    // the scratch tile — a partial edge family degrades instead of failing.
+    StripFn = Main;
+    Padded = G.PackMode == EdgePack::ZeroPad;
+    if (NrEff < Nr && G.PackMode == EdgePack::Tight) {
+      if (G.EdgeKernels[NrEff]) {
+        StripFn = G.EdgeKernels[NrEff]->Fn;
+      } else {
+        for (int64_t Kk = 0; Kk < KcEff; ++Kk) {
+          float *Row = BPad + Kk * Nr;
+          for (int64_t J = 0; J < NrEff; ++J)
+            Row[J] = BPanel[Kk * NrEff + J];
+          std::fill(Row + NrEff, Row + Nr, 0.0f);
+        }
+        BPanel = BPad;
+        Padded = true;
+      }
+    }
+  }
+
+  void tile(int64_t Ir, int64_t Row, int64_t Col, int64_t MrEff,
+            int64_t NrEff, int64_t KcEff) {
+    const float *APanel = ABuf + (Ir / Mr) * KcEff * Mr;
+    float *CTile = C + Row + Col * Ldc;
+    if (MrEff == Mr && NrEff == Nr) {
+      Main(KcEff, Ldc, APanel, BPanel, CTile);
+      return;
+    }
+    if (!Padded && MrEff == Mr) {
+      // Specialized kernel at full vector width along m and the exact
+      // nr_eff along n (B panels are tight).
+      StripFn(KcEff, Ldc, APanel, BPanel, CTile);
+      return;
+    }
+    // Scratch tile: the kernel (specialized when the m edge is short,
+    // monolithic on the padded path) computes into a zero-initialized
+    // Mr x Nr tile — the A panel's padded rows are zero — and the valid
+    // window is accumulated back.
+    std::fill(Scratch, Scratch + Mr * Nr, 0.0f);
+    (Padded ? Main : StripFn)(KcEff, Mr, APanel, BPanel, Scratch);
+    for (int64_t J = 0; J < NrEff; ++J)
+      for (int64_t I = 0; I < MrEff; ++I)
+        CTile[I + J * Ldc] += Scratch[J * Mr + I];
+  }
 };
 
-void runTeamMember(void *Ctx, int64_t Tid) {
+/// F16/BF16: the plan's f32 kernel over convert-packed f32 panels (the f32
+/// panel layout, always zero-padded), into the scratch tile.
+template <DType Ty> struct HalfElem {
+  const detail::GemmCall &Cl;
+  const int64_t Mr, Nr, Ldc;
+  uint16_t *const C;
+  const KernelFn Main;
+  float *const BBuf, *const ABuf, *const Scratch;
+  const float *BPanel = nullptr;
+
+  HalfElem(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
+           detail::GemmWorkspace &WS, int64_t Tid)
+      : Cl(Cl), Mr(G.Mr), Nr(G.Nr), Ldc(Cl.Ldc),
+        C(static_cast<uint16_t *>(Cl.C)), Main(G.Main.Fn),
+        BBuf(WS.BBuf.data()), ABuf(WS.ABufs[Tid].data()),
+        Scratch(WS.Scratches[Tid].data()) {}
+
+  static float load(uint16_t H) {
+    return Ty == DType::BF16 ? bf16ToF32(H) : f16ToF32(H);
+  }
+  static uint16_t store(float F) {
+    return Ty == DType::BF16 ? f32ToBf16(F) : f32ToF16(F);
+  }
+
+  static bool betaIsOne(const detail::GemmCall &Cl) {
+    return Cl.Beta == 1.0f;
+  }
+  static void scaleColumn(const detail::GemmCall &Cl, int64_t Row,
+                          int64_t Col, int64_t Len) {
+    uint16_t *P = static_cast<uint16_t *>(Cl.C) + Row + Col * Cl.Ldc;
+    if (Cl.Beta == 0.0f)
+      std::fill(P, P + Len, uint16_t(0));
+    else
+      for (int64_t I = 0; I < Len; ++I)
+        P[I] = store(load(P[I]) * Cl.Beta);
+  }
+
+  void packB(int64_t P, int64_t J0, int64_t W, int64_t Pc, int64_t KcEff) {
+    const OpView V = opView(Cl.TB, Cl.Ldb, Pc, J0);
+    packBConvStrided(Ty, static_cast<const uint16_t *>(Cl.B) + V.Off, V.RS,
+                     V.CS, KcEff, W, Nr, /*Alpha=*/1.0f,
+                     BBuf + P * KcEff * Nr);
+  }
+
+  void packA(int64_t Ic, int64_t Pc, int64_t McEff, int64_t KcEff) {
+    const OpView V = opView(Cl.TA, Cl.Lda, Ic, Pc);
+    packAConvStrided(Ty, static_cast<const uint16_t *>(Cl.A) + V.Off, V.RS,
+                     V.CS, McEff, KcEff, Mr, Cl.Alpha, ABuf);
+  }
+
+  void strip(int64_t P, int64_t, int64_t KcEff) {
+    BPanel = BBuf + P * KcEff * Nr;
+  }
+
+  void tile(int64_t Ir, int64_t Row, int64_t Col, int64_t MrEff,
+            int64_t NrEff, int64_t KcEff) {
+    // Always the scratch tile: the f32 kernel computes the block's
+    // contribution, and the C update (read storage, accumulate in f32,
+    // round to storage) happens exactly once per Kc block — the documented
+    // rounding contract.
+    std::fill(Scratch, Scratch + Mr * Nr, 0.0f);
+    Main(KcEff, Mr, ABuf + (Ir / Mr) * KcEff * Mr, BPanel, Scratch);
+    uint16_t *CTile = C + Row + Col * Ldc;
+    for (int64_t J = 0; J < NrEff; ++J)
+      for (int64_t I = 0; I < MrEff; ++I) {
+        uint16_t &H = CTile[I + J * Ldc];
+        H = store(load(H) + Scratch[J * Mr + I]);
+      }
+  }
+};
+
+/// Wrapping i32 scale used by the i8 path's alpha/beta application.
+inline int32_t mulWrapI32(int32_t V, int64_t S) {
+  return int32_t(uint32_t(uint64_t(int64_t(V) * S)));
+}
+
+/// I8I32: K-grouped byte panels (packAI8Strided layout) and the scalar dot
+/// — the portable stand-in for sdot/VNNI — into an i32 scratch tile.
+/// Accumulation is two's-complement i32; the uint32_t detours keep the
+/// wraparound defined.
+struct I8Elem {
+  const detail::GemmCall &Cl;
+  const int64_t Mr, Nr, Ldc;
+  int32_t *const C;
+  int8_t *const BBuf, *const ABuf;
+  int32_t *const Scratch;
+  const int8_t *BPanel = nullptr;
+
+  I8Elem(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
+         detail::GemmWorkspace &WS, int64_t Tid)
+      : Cl(Cl), Mr(G.Mr), Nr(G.Nr), Ldc(Cl.Ldc),
+        C(static_cast<int32_t *>(Cl.C)), BBuf(WS.BBufI8.data()),
+        ABuf(WS.ABufsI8[Tid].data()), Scratch(WS.ScratchesI32[Tid].data()) {}
+
+  /// Panel depth in elements: the group count rounded up (the pack
+  /// zero-fills the K remainder).
+  static int64_t depth(int64_t KcEff) {
+    return (KcEff + I8KGroup - 1) / I8KGroup * I8KGroup;
+  }
+
+  static bool betaIsOne(const detail::GemmCall &Cl) { return Cl.BetaI == 1; }
+  static void scaleColumn(const detail::GemmCall &Cl, int64_t Row,
+                          int64_t Col, int64_t Len) {
+    int32_t *P = static_cast<int32_t *>(Cl.C) + Row + Col * Cl.Ldc;
+    if (Cl.BetaI == 0)
+      std::fill(P, P + Len, 0);
+    else
+      for (int64_t I = 0; I < Len; ++I)
+        P[I] = mulWrapI32(P[I], Cl.BetaI);
+  }
+
+  void packB(int64_t P, int64_t J0, int64_t W, int64_t Pc, int64_t KcEff) {
+    const OpView V = opView(Cl.TB, Cl.Ldb, Pc, J0);
+    packBI8Strided(static_cast<const int8_t *>(Cl.B) + V.Off, V.RS, V.CS,
+                   KcEff, W, Nr, BBuf + P * depth(KcEff) * Nr);
+  }
+
+  void packA(int64_t Ic, int64_t Pc, int64_t McEff, int64_t KcEff) {
+    const OpView V = opView(Cl.TA, Cl.Lda, Ic, Pc);
+    packAI8Strided(static_cast<const int8_t *>(Cl.A) + V.Off, V.RS, V.CS,
+                   McEff, KcEff, Mr, ABuf);
+  }
+
+  void strip(int64_t P, int64_t, int64_t KcEff) {
+    BPanel = BBuf + P * depth(KcEff) * Nr;
+  }
+
+  void tile(int64_t Ir, int64_t Row, int64_t Col, int64_t MrEff,
+            int64_t NrEff, int64_t KcEff) {
+    const int64_t KGroups = depth(KcEff) / I8KGroup;
+    const int8_t *APanel = ABuf + (Ir / Mr) * KGroups * I8KGroup * Mr;
+    // Scratch[j*Mr + i] = sum over (g, kk) of Ac[g][i][kk] * Bc[g][j][kk].
+    std::fill(Scratch, Scratch + Mr * Nr, 0);
+    for (int64_t Gr = 0; Gr < KGroups; ++Gr) {
+      const int8_t *Ag = APanel + Gr * Mr * I8KGroup;
+      const int8_t *Bg = BPanel + Gr * Nr * I8KGroup;
+      for (int64_t J = 0; J < Nr; ++J) {
+        const int8_t *Bq = Bg + J * I8KGroup;
+        for (int64_t I = 0; I < Mr; ++I) {
+          const int8_t *Aq = Ag + I * I8KGroup;
+          int32_t Dot = 0;
+          for (int64_t Kk = 0; Kk < I8KGroup; ++Kk)
+            Dot += int32_t(Aq[Kk]) * int32_t(Bq[Kk]);
+          Scratch[J * Mr + I] =
+              int32_t(uint32_t(Scratch[J * Mr + I]) + uint32_t(Dot));
+        }
+      }
+    }
+    int32_t *CTile = C + Row + Col * Ldc;
+    for (int64_t J = 0; J < NrEff; ++J)
+      for (int64_t I = 0; I < MrEff; ++I) {
+        int32_t &V = CTile[I + J * Ldc];
+        V = int32_t(uint32_t(V) +
+                    uint32_t(mulWrapI32(Scratch[J * Mr + I], Cl.AlphaI)));
+      }
+  }
+};
+
+/// One team member's share of the five-loop macro-kernel (paper Fig. 1).
+/// The team grid, barriers and C ownership are dtype-independent, which is
+/// what makes every dtype bitwise invariant under the team size.
+template <class Elem> void runTeamMember(void *Ctx, int64_t Tid) {
   const TeamJob &Job = *static_cast<TeamJob *>(Ctx);
   const detail::GemmGeometry &G = *Job.G;
   const detail::GemmCall &Cl = *Job.Call;
-  detail::GemmWorkspace &WS = *Job.WS;
   const int64_t Mr = G.Mr, Nr = G.Nr, Mc = G.Mc, Kc = G.Kc, Nc = G.Nc;
   const int64_t NIc = G.NIc, T = G.T, Tic = G.Tic, Tjr = G.Tjr;
   const int64_t M = Cl.M, N = Cl.N, K = Cl.K;
-  const MicroKernel &Main = G.Main;
+  Elem E(G, Cl, *Job.WS, Tid);
 
   // Grid position: ic team owns row blocks BIdx % Tic == IcTeam; within
   // a team, jr strips (and pre-scale columns) split by JrIdx.
   const int64_t IcTeam = Tid / Tjr, JrIdx = Tid % Tjr;
-  float *ABuf = WS.ABufs[Tid].data();
-  float *Scratch = WS.Scratches[Tid].data();
-  float *BPad = WS.BPads[Tid].empty() ? nullptr : WS.BPads[Tid].data();
 
   for (int64_t Jc = 0; Jc < N; Jc += Nc) {            // Loop L1
     const int64_t NcEff = std::min(Nc, N - Jc);
     const int64_t NPan = (NcEff + Nr - 1) / Nr;
     for (int64_t Pc = 0; Pc < K; Pc += Kc) {          // Loop L2
       const int64_t KcEff = std::min(Kc, K - Pc);
-      // Cooperative packB: panel P goes to thread P % T. Packing panel
-      // by panel reproduces the monolithic layout exactly (slot stride
-      // KcEff * Nr; only the last panel can be partial).
+      // Cooperative packB: panel P goes to thread P % T.
       {
         EXO_OBS_SPAN("gemm.packB");
-        for (int64_t P = Tid; P < NPan; P += T) {
-        const int64_t J0 = Jc + P * Nr;
-        const int64_t W = std::min(Nr, NcEff - P * Nr);
-        float *Dst = WS.BBuf.data() + P * KcEff * Nr;
-        // Element (k, j) of the logical block; transposition swaps
-        // strides.
-        if (Cl.TB == Trans::None)
-          packBStrided(Cl.B + Pc + J0 * Cl.Ldb, 1, Cl.Ldb, KcEff, W, Nr,
-                       /*Alpha=*/1.0f, G.PackMode, Dst);
-        else
-          packBStrided(Cl.B + J0 + Pc * Cl.Ldb, Cl.Ldb, 1, KcEff, W, Nr,
-                       /*Alpha=*/1.0f, G.PackMode, Dst);
-        }
+        for (int64_t P = Tid; P < NPan; P += T)
+          E.packB(P, Jc + P * Nr, std::min(Nr, NcEff - P * Nr), Pc, KcEff);
       }
 
       // Apply beta once per (jc) column block, before the first update.
-      // Beta == 0 overwrites (see scaleByBeta). Ownership: rows by ic
-      // team, columns round-robin within the team — every C element has
-      // exactly one writer.
-      if (Pc == 0 && Cl.Beta != 1.0f) {
+      // Ownership: rows by ic team, columns round-robin within the team —
+      // every C element has exactly one writer.
+      if (Pc == 0 && !Elem::betaIsOne(Cl)) {
         EXO_OBS_SPAN("gemm.beta");
         for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) {
           const int64_t Ic = BIdx * Mc;
           const int64_t McEff = std::min(Mc, M - Ic);
-          for (int64_t J = JrIdx; J < NcEff; J += Tjr) {
-            float *Col = Cl.C + Ic + (Jc + J) * Cl.Ldc;
-            if (Cl.Beta == 0.0f)
-              std::fill(Col, Col + McEff, 0.0f);
-            else
-              for (int64_t I = 0; I < McEff; ++I)
-                Col[I] *= Cl.Beta;
-          }
+          for (int64_t J = JrIdx; J < NcEff; J += Tjr)
+            Elem::scaleColumn(Cl, Ic, Jc + J, McEff);
         }
       }
       if (T > 1) {
@@ -233,74 +483,22 @@ void runTeamMember(void *Ctx, int64_t Tid) {
       for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) { // Loop L3
         const int64_t Ic = BIdx * Mc;
         const int64_t McEff = std::min(Mc, M - Ic);
-        // A panels are always zero-padded to the full Mr: edge kernels
-        // keep the full vector width along m and the driver masks the
-        // copy-out instead (rows >= mr_eff contribute zeros). Each
-        // thread packs into its own buffer; members of the same ic team
-        // duplicate the pack, trading redundant bandwidth for zero
+        // Each thread packs into its own buffer; members of the same ic
+        // team duplicate the pack, trading redundant bandwidth for zero
         // intra-team synchronization.
         {
           EXO_OBS_SPAN("gemm.packA");
-          if (Cl.TA == Trans::None)
-            packAStrided(Cl.A + Ic + Pc * Cl.Lda, 1, Cl.Lda, McEff, KcEff,
-                         Mr, Cl.Alpha, EdgePack::ZeroPad, ABuf);
-          else
-            packAStrided(Cl.A + Pc + Ic * Cl.Lda, Cl.Lda, 1, McEff, KcEff,
-                         Mr, Cl.Alpha, EdgePack::ZeroPad, ABuf);
+          E.packA(Ic, Pc, McEff, KcEff);
         }
 
         EXO_OBS_SPAN("gemm.ukr");
         for (int64_t P = JrIdx; P < NPan; P += Tjr) {  // Loop L4
           const int64_t Jr = P * Nr;
           const int64_t NrEff = std::min(Nr, NcEff - Jr);
-          const float *BPanel = WS.BBuf.data() + P * KcEff * Nr;
-          // The edge kernel depends only on the strip width; resolved
-          // once per plan (or per legacy call). A Tight-mode strip
-          // without its specialized kernel re-pads the tight panel and
-          // runs the monolithic kernel through the scratch tile — a
-          // partial edge family degrades instead of failing.
-          const MicroKernel *Strip = &Main;
-          bool Padded = G.PackMode == EdgePack::ZeroPad;
-          if (NrEff < Nr && G.PackMode == EdgePack::Tight) {
-            if (G.EdgeKernels[NrEff]) {
-              Strip = &*G.EdgeKernels[NrEff];
-            } else {
-              for (int64_t Kk = 0; Kk < KcEff; ++Kk) {
-                float *Row = BPad + Kk * Nr;
-                for (int64_t J = 0; J < NrEff; ++J)
-                  Row[J] = BPanel[Kk * NrEff + J];
-                std::fill(Row + NrEff, Row + Nr, 0.0f);
-              }
-              BPanel = BPad;
-              Padded = true;
-            }
-          }
-          for (int64_t Ir = 0; Ir < McEff; Ir += Mr) { // Loop L5
-            const int64_t MrEff = std::min(Mr, McEff - Ir);
-            const float *APanel = ABuf + (Ir / Mr) * KcEff * Mr;
-            float *CTile = Cl.C + (Ic + Ir) + (Jc + Jr) * Cl.Ldc;
-
-            if (MrEff == Mr && NrEff == Nr) {
-              Main.Fn(KcEff, Cl.Ldc, APanel, BPanel, CTile);
-              continue;
-            }
-            if (!Padded && MrEff == Mr) {
-              // Specialized kernel at full vector width along m and the
-              // exact nr_eff along n (B panels are tight).
-              Strip->Fn(KcEff, Cl.Ldc, APanel, BPanel, CTile);
-              continue;
-            }
-            // Scratch tile: the kernel (specialized when the m edge is
-            // short, monolithic on the padded path) computes into a
-            // zero-initialized Mr x Nr tile — the A panel's padded rows
-            // are zero — and the valid window is accumulated back.
-            const MicroKernel *Kern = Padded ? &Main : Strip;
-            std::fill(Scratch, Scratch + Mr * Nr, 0.0f);
-            Kern->Fn(KcEff, Mr, APanel, BPanel, Scratch);
-            for (int64_t J = 0; J < NrEff; ++J)
-              for (int64_t I = 0; I < MrEff; ++I)
-                CTile[I + J * Cl.Ldc] += Scratch[J * Mr + I];
-          }
+          E.strip(P, NrEff, KcEff);
+          for (int64_t Ir = 0; Ir < McEff; Ir += Mr)   // Loop L5
+            E.tile(Ir, Ic + Ir, Jc + Jr, std::min(Mr, McEff - Ir), NrEff,
+                   KcEff);
         }
       }
       if (T > 1) {
@@ -311,207 +509,52 @@ void runTeamMember(void *Ctx, int64_t Tid) {
   }
 }
 
-//===----------------------------------------------------------------------===//
-// Typed (non-f32) executor
-//===----------------------------------------------------------------------===//
+using TeamFn = void (*)(void *, int64_t);
 
-/// Storage decode/encode for the half-precision paths.
-inline float loadHalf(DType Ty, uint16_t H) {
-  return Ty == DType::BF16 ? bf16ToF32(H) : f16ToF32(H);
-}
-inline uint16_t storeHalf(DType Ty, float F) {
-  return Ty == DType::BF16 ? f32ToBf16(F) : f32ToF16(F);
-}
-
-/// The K-grouped scalar dot micro-kernel (the portable stand-in for
-/// sdot/VNNI): Scratch[j*Mr + i] += sum over (g, kk) of
-/// Ac[g][i][kk] * Bc[g][j][kk], panels in the packAI8Strided layout.
-/// Accumulation is two's-complement i32; the uint32_t detour keeps the
-/// wraparound defined.
-void i8DotTile(int64_t KGroups, int64_t Mr, int64_t Nr, const int8_t *Ac,
-               const int8_t *Bc, int32_t *Scratch) {
-  for (int64_t G = 0; G < KGroups; ++G) {
-    const int8_t *Ag = Ac + G * Mr * I8KGroup;
-    const int8_t *Bg = Bc + G * Nr * I8KGroup;
-    for (int64_t J = 0; J < Nr; ++J) {
-      const int8_t *Bq = Bg + J * I8KGroup;
-      for (int64_t I = 0; I < Mr; ++I) {
-        const int8_t *Aq = Ag + I * I8KGroup;
-        int32_t Dot = 0;
-        for (int64_t Kk = 0; Kk < I8KGroup; ++Kk)
-          Dot += int32_t(Aq[Kk]) * int32_t(Bq[Kk]);
-        uint32_t Acc = uint32_t(Scratch[J * Mr + I]) + uint32_t(Dot);
-        Scratch[J * Mr + I] = int32_t(Acc);
-      }
-    }
+TeamFn teamMemberFor(DType Ty) {
+  switch (Ty) {
+  case DType::F16:
+    return &runTeamMember<HalfElem<DType::F16>>;
+  case DType::BF16:
+    return &runTeamMember<HalfElem<DType::BF16>>;
+  case DType::I8I32:
+    return &runTeamMember<I8Elem>;
+  default:
+    return &runTeamMember<F32Elem>;
   }
 }
 
-/// Wrapping i32 scale used by the i8 path's alpha/beta application.
-inline int32_t mulWrapI32(int32_t V, int64_t S) {
-  return int32_t(uint32_t(uint64_t(int64_t(V) * S)));
-}
-
-/// Mirror of runTeamMember for the non-f32 dtypes: identical loop
-/// structure, barriers and ownership grid, so the bitwise
-/// thread-count-invariance argument carries over unchanged. The branches
-/// select the pack / pre-scale / copy-out flavour; the inner kernel is the
-/// plan's f32 kernel over converted panels (f16/bf16) or the scalar i8 dot.
-void runTeamMemberTyped(void *Ctx, int64_t Tid) {
-  const TeamJobT &Job = *static_cast<TeamJobT *>(Ctx);
-  const detail::GemmGeometry &G = *Job.G;
-  const detail::GemmCallT &Cl = *Job.Call;
-  detail::GemmWorkspace &WS = *Job.WS;
-  const int64_t Mr = G.Mr, Nr = G.Nr, Mc = G.Mc, Kc = G.Kc, Nc = G.Nc;
-  const int64_t NIc = G.NIc, T = G.T, Tic = G.Tic, Tjr = G.Tjr;
-  const int64_t M = Cl.M, N = Cl.N, K = Cl.K;
-  const DType Ty = Cl.Ty;
-  const bool IsInt = Ty == DType::I8I32;
-
-  const int64_t IcTeam = Tid / Tjr, JrIdx = Tid % Tjr;
-
-  for (int64_t Jc = 0; Jc < N; Jc += Nc) {              // Loop L1
-    const int64_t NcEff = std::min(Nc, N - Jc);
-    const int64_t NPan = (NcEff + Nr - 1) / Nr;
-    for (int64_t Pc = 0; Pc < K; Pc += Kc) {            // Loop L2
-      const int64_t KcEff = std::min(Kc, K - Pc);
-      const int64_t KG = (KcEff + I8KGroup - 1) / I8KGroup;
-      {
-        EXO_OBS_SPAN("gemm.packB");
-        for (int64_t P = Tid; P < NPan; P += T) {
-          const int64_t J0 = Jc + P * Nr;
-          const int64_t W = std::min(Nr, NcEff - P * Nr);
-          // Transposition swaps the element strides, exactly as in the f32
-          // path: (k, j) of the logical block is B[k*RS + j*CS].
-          const int64_t RS = Cl.TB == Trans::None ? 1 : Cl.Ldb;
-          const int64_t CS = Cl.TB == Trans::None ? Cl.Ldb : 1;
-          if (IsInt) {
-            const int8_t *Src = static_cast<const int8_t *>(Cl.B) +
-                                (Cl.TB == Trans::None ? Pc + J0 * Cl.Ldb
-                                                      : J0 + Pc * Cl.Ldb);
-            packBI8Strided(Src, RS, CS, KcEff, W, Nr,
-                           WS.BBufI8.data() + P * KG * I8KGroup * Nr);
-          } else {
-            const uint16_t *Src = static_cast<const uint16_t *>(Cl.B) +
-                                  (Cl.TB == Trans::None ? Pc + J0 * Cl.Ldb
-                                                        : J0 + Pc * Cl.Ldb);
-            packBConvStrided(Ty, Src, RS, CS, KcEff, W, Nr, /*Alpha=*/1.0f,
-                             WS.BBuf.data() + P * KcEff * Nr);
-          }
-        }
-      }
-
-      // Beta pre-scale, once per column block before its first update;
-      // same one-writer ownership grid as the f32 path.
-      const bool BetaIsOne = IsInt ? Cl.BetaI == 1 : Cl.Beta == 1.0f;
-      if (Pc == 0 && !BetaIsOne) {
-        EXO_OBS_SPAN("gemm.beta");
-        for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) {
-          const int64_t Ic = BIdx * Mc;
-          const int64_t McEff = std::min(Mc, M - Ic);
-          for (int64_t J = JrIdx; J < NcEff; J += Tjr) {
-            if (IsInt) {
-              int32_t *Col =
-                  static_cast<int32_t *>(Cl.C) + Ic + (Jc + J) * Cl.Ldc;
-              if (Cl.BetaI == 0)
-                std::fill(Col, Col + McEff, 0);
-              else
-                for (int64_t I = 0; I < McEff; ++I)
-                  Col[I] = mulWrapI32(Col[I], Cl.BetaI);
-            } else {
-              uint16_t *Col =
-                  static_cast<uint16_t *>(Cl.C) + Ic + (Jc + J) * Cl.Ldc;
-              if (Cl.Beta == 0.0f)
-                std::fill(Col, Col + McEff, uint16_t(0));
-              else
-                for (int64_t I = 0; I < McEff; ++I)
-                  Col[I] = storeHalf(Ty, loadHalf(Ty, Col[I]) * Cl.Beta);
-            }
-          }
-        }
-      }
-      if (T > 1) {
-        EXO_OBS_SPAN("gemm.barrier");
-        Job.Bar->arriveAndWait();
-      }
-
-      for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) { // Loop L3
-        const int64_t Ic = BIdx * Mc;
-        const int64_t McEff = std::min(Mc, M - Ic);
-        {
-          EXO_OBS_SPAN("gemm.packA");
-          const int64_t RS = Cl.TA == Trans::None ? 1 : Cl.Lda;
-          const int64_t CS = Cl.TA == Trans::None ? Cl.Lda : 1;
-          if (IsInt) {
-            const int8_t *Src = static_cast<const int8_t *>(Cl.A) +
-                                (Cl.TA == Trans::None ? Ic + Pc * Cl.Lda
-                                                      : Pc + Ic * Cl.Lda);
-            packAI8Strided(Src, RS, CS, McEff, KcEff, Mr,
-                           WS.ABufsI8[Tid].data());
-          } else {
-            const uint16_t *Src = static_cast<const uint16_t *>(Cl.A) +
-                                  (Cl.TA == Trans::None ? Ic + Pc * Cl.Lda
-                                                        : Pc + Ic * Cl.Lda);
-            packAConvStrided(Ty, Src, RS, CS, McEff, KcEff, Mr, Cl.Alpha,
-                             WS.ABufs[Tid].data());
-          }
-        }
-
-        EXO_OBS_SPAN("gemm.ukr");
-        for (int64_t P = JrIdx; P < NPan; P += Tjr) {    // Loop L4
-          const int64_t Jr = P * Nr;
-          const int64_t NrEff = std::min(Nr, NcEff - Jr);
-          for (int64_t Ir = 0; Ir < McEff; Ir += Mr) {   // Loop L5
-            const int64_t MrEff = std::min(Mr, McEff - Ir);
-            if (IsInt) {
-              const int8_t *APanel =
-                  WS.ABufsI8[Tid].data() + (Ir / Mr) * KG * I8KGroup * Mr;
-              const int8_t *BPanel =
-                  WS.BBufI8.data() + P * KG * I8KGroup * Nr;
-              int32_t *Scratch = WS.ScratchesI32[Tid].data();
-              std::fill(Scratch, Scratch + Mr * Nr, 0);
-              i8DotTile(KG, Mr, Nr, APanel, BPanel, Scratch);
-              int32_t *CTile = static_cast<int32_t *>(Cl.C) + (Ic + Ir) +
-                               (Jc + Jr) * Cl.Ldc;
-              for (int64_t J = 0; J < NrEff; ++J)
-                for (int64_t I = 0; I < MrEff; ++I) {
-                  uint32_t Acc =
-                      uint32_t(CTile[I + J * Cl.Ldc]) +
-                      uint32_t(mulWrapI32(Scratch[J * Mr + I], Cl.AlphaI));
-                  CTile[I + J * Cl.Ldc] = int32_t(Acc);
-                }
-            } else {
-              // Always the scratch-tile path: the f32 kernel computes the
-              // block's contribution, and the C update (read storage,
-              // accumulate in f32, round to storage) happens exactly once
-              // per Kc block — the documented rounding contract.
-              const float *APanel =
-                  WS.ABufs[Tid].data() + (Ir / Mr) * KcEff * Mr;
-              const float *BPanel = WS.BBuf.data() + P * KcEff * Nr;
-              float *Scratch = WS.Scratches[Tid].data();
-              std::fill(Scratch, Scratch + Mr * Nr, 0.0f);
-              G.Main.Fn(KcEff, Mr, APanel, BPanel, Scratch);
-              uint16_t *CTile = static_cast<uint16_t *>(Cl.C) + (Ic + Ir) +
-                                (Jc + Jr) * Cl.Ldc;
-              for (int64_t J = 0; J < NrEff; ++J)
-                for (int64_t I = 0; I < MrEff; ++I) {
-                  uint16_t &H = CTile[I + J * Cl.Ldc];
-                  H = storeHalf(Ty,
-                                loadHalf(Ty, H) + Scratch[J * Mr + I]);
-                }
-            }
-          }
-        }
-      }
-      if (T > 1) {
-        EXO_OBS_SPAN("gemm.barrier");
-        Job.Bar->arriveAndWait();
-      }
-    }
-  }
+template <class Elem> void scaleAll(const detail::GemmCall &Cl) {
+  for (int64_t J = 0; J < Cl.N; ++J)
+    Elem::scaleColumn(Cl, 0, J, Cl.M);
 }
 
 } // namespace
+
+void detail::scaleByBeta(DType Ty, int64_t M, int64_t N, double Beta, void *C,
+                         int64_t Ldc) {
+  // Beta == 0 must *overwrite*, not scale: 0 * NaN == NaN, and serving
+  // workloads hand in pooled, uninitialized C buffers (the classic BLAS
+  // beta-zero rule). The element policies' pre-scale implements exactly
+  // that, so the degenerate path reuses it over the whole matrix.
+  GemmCall Cl;
+  Cl.M = M;
+  Cl.N = N;
+  Cl.C = C;
+  Cl.Ldc = Ldc;
+  Cl.Beta = static_cast<float>(Beta);
+  switch (Ty) {
+  case DType::F16:
+    return scaleAll<HalfElem<DType::F16>>(Cl);
+  case DType::BF16:
+    return scaleAll<HalfElem<DType::BF16>>(Cl);
+  case DType::I8I32:
+    Cl.BetaI = static_cast<int64_t>(Beta);
+    return scaleAll<I8Elem>(Cl);
+  default:
+    return scaleAll<F32Elem>(Cl);
+  }
+}
 
 void detail::executeGemm(const GemmGeometry &G, const GemmCall &Call,
                          GemmWorkspace &WS) {
@@ -521,6 +564,7 @@ void detail::executeGemm(const GemmGeometry &G, const GemmCall &Call,
   // construction is a single relaxed load when EXO_OBS is unset. The
   // spans only observe; results are bitwise identical either way.
   EXO_OBS_SPAN("gemm.call");
+  const TeamFn Member = teamMemberFor(G.Ty);
   // Nested call (this thread is already inside a pool job — e.g. a batched
   // cross-item worker, or a user callback issuing a GEMM): a T-member team
   // cannot form, and letting the pool degrade a T > 1 job inline would
@@ -530,23 +574,21 @@ void detail::executeGemm(const GemmGeometry &G, const GemmCall &Call,
   // thread-count-invariance guarantee (see Gemm.h), so this only changes
   // scheduling, never output.
   if (G.T > 1 && ThreadPool::global().inParallel()) {
-    GemmGeometry G1 = G;
-    G1.T = 1;
-    G1.Tic = 1;
-    G1.Tjr = 1;
+    GemmGeometry G1 = reteamGeometry(G, 1);
     TeamJob Job{&G1, &Call, &WS, nullptr}; // T == 1 never touches the barrier
-    runTeamMember(&Job, 0);
+    Member(&Job, 0);
     return;
   }
   TeamBarrier Bar(G.T);
   TeamJob Job{&G, &Call, &WS, &Bar};
-  ThreadPool::global().parallel(G.T, &runTeamMember, &Job);
+  ThreadPool::global().parallel(G.T, Member, &Job);
 }
 
 void detail::executeGemmReserved(const GemmGeometry &G, const GemmCall &Call,
                                  GemmWorkspace &WS,
                                  ThreadPool::Reservation &Res) {
   EXO_OBS_SPAN("gemm.call");
+  const TeamFn Member = teamMemberFor(G.Ty);
   // The granted team: the caller plus every reserved worker. Res.Count is
   // already <= G.T - 1 (the governor caps its ask at the plan width), so
   // the re-teamed copy fits the workspace ensured for G, and by the
@@ -557,7 +599,7 @@ void detail::executeGemmReserved(const GemmGeometry &G, const GemmCall &Call,
     // Full width granted: run the plan's own geometry directly.
     TeamBarrier Bar(G.T);
     TeamJob Job{&G, &Call, &WS, &Bar};
-    ThreadPool::global().runTeam(Res, &runTeamMember, &Job);
+    ThreadPool::global().runTeam(Res, Member, &Job);
     return;
   }
   GemmGeometry G2 = reteamGeometry(G, Width);
@@ -567,68 +609,17 @@ void detail::executeGemmReserved(const GemmGeometry &G, const GemmCall &Call,
     ThreadPool::global().release(Res);
     if (G2.T <= 1) {
       TeamJob Job{&G2, &Call, &WS, nullptr};
-      runTeamMember(&Job, 0);
+      Member(&Job, 0);
       return;
     }
     TeamBarrier Bar(G2.T);
     TeamJob Job{&G2, &Call, &WS, &Bar};
-    ThreadPool::global().parallel(G2.T, &runTeamMember, &Job);
+    ThreadPool::global().parallel(G2.T, Member, &Job);
     return;
   }
   TeamBarrier Bar(G2.T);
   TeamJob Job{&G2, &Call, &WS, G2.T > 1 ? &Bar : nullptr};
-  ThreadPool::global().runTeam(Res, &runTeamMember, &Job);
-}
-
-void detail::scaleByBetaTyped(DType Ty, int64_t M, int64_t N, double Beta,
-                              void *C, int64_t Ldc) {
-  if (Ty == DType::F32) {
-    scaleByBeta(M, N, float(Beta), static_cast<float *>(C), Ldc);
-    return;
-  }
-  if (Ty == DType::I8I32) {
-    const int64_t BetaI = int64_t(Beta);
-    for (int64_t J = 0; J < N; ++J) {
-      int32_t *Col = static_cast<int32_t *>(C) + J * Ldc;
-      if (BetaI == 0)
-        std::fill(Col, Col + M, 0);
-      else
-        for (int64_t I = 0; I < M; ++I)
-          Col[I] = int32_t(uint32_t(uint64_t(int64_t(Col[I]) * BetaI)));
-    }
-    return;
-  }
-  const float BetaF = float(Beta);
-  for (int64_t J = 0; J < N; ++J) {
-    uint16_t *Col = static_cast<uint16_t *>(C) + J * Ldc;
-    if (BetaF == 0.0f) {
-      std::fill(Col, Col + M, uint16_t(0));
-      continue;
-    }
-    for (int64_t I = 0; I < M; ++I) {
-      const float V =
-          (Ty == DType::BF16 ? bf16ToF32(Col[I]) : f16ToF32(Col[I])) * BetaF;
-      Col[I] = Ty == DType::BF16 ? f32ToBf16(V) : f32ToF16(V);
-    }
-  }
-}
-
-void detail::executeGemmTyped(const GemmGeometry &G, const GemmCallT &Call,
-                              GemmWorkspace &WS) {
-  EXO_OBS_SPAN("gemm.call");
-  // Nested-call collapse, for the same deadlock reason as executeGemm.
-  if (G.T > 1 && ThreadPool::global().inParallel()) {
-    GemmGeometry G1 = G;
-    G1.T = 1;
-    G1.Tic = 1;
-    G1.Tjr = 1;
-    TeamJobT Job{&G1, &Call, &WS, nullptr};
-    runTeamMemberTyped(&Job, 0);
-    return;
-  }
-  TeamBarrier Bar(G.T);
-  TeamJobT Job{&G, &Call, &WS, &Bar};
-  ThreadPool::global().parallel(G.T, &runTeamMemberTyped, &Job);
+  ThreadPool::global().runTeam(Res, Member, &Job);
 }
 
 Error gemm::blisGemm(const GemmPlan &Plan, KernelProvider &Provider,
@@ -653,7 +644,7 @@ Error gemm::blisGemmT(const GemmPlan &Plan, KernelProvider &Provider,
   // term is empty (or scaled away), and per BLAS semantics A and B are
   // never read — callers may legally pass null.
   if (K == 0 || Alpha == 0.0f) {
-    detail::scaleByBeta(M, N, Beta, C, Ldc);
+    detail::scaleByBeta(DType::F32, M, N, Beta, C, Ldc);
     return Error::success();
   }
 

@@ -10,7 +10,8 @@
 /// blocks (Ac packed for L2), then jr/ir micro-tile loops invoking the
 /// micro-kernel. Edge tiles either dispatch to a provider-specialized
 /// kernel (EXO mode, tight packing) or run the monolithic kernel into a
-/// zero-padded scratch tile (BLIS mode).
+/// zero-padded scratch tile (BLIS mode). One executor serves every dtype;
+/// only packing and the micro-tile update depend on it (detail::executeGemm).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,37 +84,23 @@ namespace detail {
 /// One GEMM call's operands and scalars, bundled so the resolved executor
 /// below can be shared verbatim between the legacy entry points and the
 /// Engine's cached-plan path (bitwise identity between the two front doors
-/// falls out of running the same code).
+/// falls out of running the same code). The operand pointers are raw
+/// storage in the geometry's element types (dtypeInBytes / dtypeOutBytes).
+/// Alpha/Beta are the f32 scales of the float dtypes; AlphaI/BetaI the
+/// exact integer scales of I8I32 (set from the same user-facing doubles by
+/// the Engine front door).
 struct GemmCall {
   Trans TA = Trans::None, TB = Trans::None;
   int64_t M = 0, N = 0, K = 0;
   float Alpha = 1.0f;
-  const float *A = nullptr;
-  int64_t Lda = 0;
-  const float *B = nullptr;
-  int64_t Ldb = 0;
-  float Beta = 1.0f;
-  float *C = nullptr;
-  int64_t Ldc = 0;
-};
-
-/// The dtype-generic call bundle used by the non-f32 executor paths. The
-/// operand pointers are raw storage in Ty's element types (dtypeInBytes /
-/// dtypeOutBytes); Alpha/Beta carry the f32 scale for the half-precision
-/// paths and AlphaI/BetaI the exact integer scale for i8 -> i32 (set from
-/// the same user-facing doubles by the Engine front door).
-struct GemmCallT {
-  DType Ty = DType::F32;
-  Trans TA = Trans::None, TB = Trans::None;
-  int64_t M = 0, N = 0, K = 0;
-  float Alpha = 1.0f, Beta = 1.0f;
-  int64_t AlphaI = 1, BetaI = 1;
   const void *A = nullptr;
   int64_t Lda = 0;
   const void *B = nullptr;
   int64_t Ldb = 0;
+  float Beta = 1.0f;
   void *C = nullptr;
   int64_t Ldc = 0;
+  int64_t AlphaI = 1, BetaI = 1;
 };
 
 /// Everything the five-loop executor needs that does not depend on the
@@ -122,11 +109,12 @@ struct GemmCallT {
 /// the Engine caches; blisGemmT derives it per call.
 struct GemmGeometry {
   MicroKernel Main{};
-  /// Element type this geometry executes. F32 runs the historical executor
-  /// verbatim; F16/BF16 run the f32 kernels over convert-packed panels with
-  /// per-Kc-block rounding at copy-out; I8I32 runs the K-grouped scalar dot
-  /// (Main.Fn unused). Non-f32 geometries are always ZeroPad with no edge
-  /// kernels.
+  /// Element type this geometry executes; it selects the executor's
+  /// element policy. F32 runs the kernels straight into C (edge kernels,
+  /// re-padded strips); F16/BF16 run the f32 kernels over convert-packed
+  /// panels with per-Kc-block rounding at copy-out; I8I32 runs the
+  /// K-grouped scalar dot (Main.Fn unused). Non-f32 geometries are always
+  /// ZeroPad with no edge kernels.
   DType Ty = DType::F32;
   EdgePack PackMode = EdgePack::ZeroPad;
   int64_t Mr = 0, Nr = 0;
@@ -177,9 +165,14 @@ void factorizeTeam(GemmGeometry &G);
 void resolveEdgeKernels(KernelProvider &Provider, GemmGeometry &G, int64_t N,
                         std::vector<std::optional<MicroKernel>> &Storage);
 
-/// The five-loop macro-kernel over a fully resolved geometry. Performs no
-/// validation, no heap allocation, and never calls into the provider; the
-/// workspace must already satisfy WS.ensure(G).
+/// The five-loop macro-kernel over a fully resolved geometry, for every
+/// dtype: only packing, the beta pre-scale and the micro-tile update with
+/// its copy-out depend on G.Ty (paper Fig. 1). F16/BF16 convert-pack to
+/// f32 panels, run G.Main.Fn into a zeroed f32 scratch tile and round the
+/// C update to storage once per Kc block; I8I32 packs K-grouped byte
+/// panels and runs the scalar dot into an i32 scratch with two's-complement
+/// wraparound. Performs no validation, no heap allocation, and never calls
+/// into the provider; the workspace must already satisfy WS.ensure(G).
 void executeGemm(const GemmGeometry &G, const GemmCall &Call,
                  GemmWorkspace &WS);
 
@@ -200,27 +193,12 @@ GemmGeometry reteamGeometry(const GemmGeometry &G, int64_t Width);
 void executeGemmReserved(const GemmGeometry &G, const GemmCall &Call,
                          GemmWorkspace &WS, ThreadPool::Reservation &Res);
 
-/// The shared degenerate path (K == 0 or alpha == 0): C = beta * C, with
-/// beta == 0 overwriting rather than scaling (NaN-safe). Allocation-free.
-void scaleByBeta(int64_t M, int64_t N, float Beta, float *C, int64_t Ldc);
-
-/// The five-loop macro-kernel for non-f32 dtypes (same team structure,
-/// barriers and ownership rules as executeGemm, hence the same bitwise
-/// thread-count invariance). F16/BF16 convert-pack to f32 panels, run
-/// G.Main.Fn into a zeroed f32 scratch tile and round the C update to
-/// storage once per Kc block; I8I32 packs K-grouped byte panels and runs
-/// the scalar dot into an i32 scratch with two's-complement wraparound.
-/// Call.Ty must equal G.Ty and must not be F32 (f32 stays on executeGemm,
-/// byte for byte).
-void executeGemmTyped(const GemmGeometry &G, const GemmCallT &Call,
-                      GemmWorkspace &WS);
-
-/// Degenerate-path beta scaling in storage type: f32 behaves exactly like
-/// scaleByBeta; f16/bf16 scale in f32 and round back to storage; i8->i32
-/// scales the i32 C by the integer beta with wraparound. Beta == 0
-/// overwrites with zero storage everywhere (NaN-safe).
-void scaleByBetaTyped(DType Ty, int64_t M, int64_t N, double Beta, void *C,
-                      int64_t Ldc);
+/// The shared degenerate path (K == 0 or alpha == 0): C = beta * C in
+/// storage type, with beta == 0 overwriting rather than scaling (NaN-safe).
+/// F16/BF16 scale in f32 and round back to storage; I8I32 scales the i32 C
+/// by the integer beta with wraparound. Allocation-free.
+void scaleByBeta(DType Ty, int64_t M, int64_t N, double Beta, void *C,
+                 int64_t Ldc);
 
 } // namespace detail
 

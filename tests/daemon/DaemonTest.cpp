@@ -614,7 +614,7 @@ TEST(GemmdAdmission, MaxClientsEnforced) {
 // Wire v3: the precision dimension over the wire (docs/PRECISION.md)
 //===----------------------------------------------------------------------===//
 
-/// One typed problem remotely and locally; the engine's typed executor is
+/// One typed problem remotely and locally; the engine's executor is
 /// deterministic for a fixed plan, and both sides plan on the same
 /// machine, so C must match bitwise for every dtype.
 void expectTypedRoundTrip(gemm::Client &Remote, gemm::Engine &Local,

@@ -5,7 +5,6 @@
 #include "benchutil/Bench.h"
 #include "exo/support/Str.h"
 #include "gemm/ExoProvider.h"
-#include "gemm/Kernels.h"
 
 #include <gtest/gtest.h>
 
@@ -42,8 +41,11 @@ TEST_P(ConvTest, GemmLoweringMatchesDirectConvolution) {
   std::vector<float> Direct(P.gemmM() * P.OutC), ViaGemm(Direct.size());
   convDirect(P, In.data(), W.data(), Direct.data());
 
-  gemm::ExoProvider Provider(8, 12);
-  exo::Error Err = convViaGemm(P, Provider, In.data(), W.data(),
+  gemm::EngineConfig Cfg;
+  Cfg.Series = gemm::EngineSeries::Custom;
+  Cfg.Provider = std::make_shared<gemm::ExoProvider>(8, 12);
+  gemm::Engine Engine(Cfg);
+  exo::Error Err = convViaGemm(P, Engine, In.data(), W.data(),
                                ViaGemm.data());
   ASSERT_FALSE(Err) << Err.message();
   float Tol = 1e-4f * static_cast<float>(P.gemmK());

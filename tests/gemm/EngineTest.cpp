@@ -241,47 +241,6 @@ TEST(EnginePlanner, ForcedTileWinsAndIsReported) {
   EXPECT_STREQ(BlisChoice->Source, "fixed");
 }
 
-TEST(EnginePlanner, MeasuredPriorWinsOnExactShape) {
-  // A minimal BENCH_*.json carrying mr/nr counters: the 8x8 row measures
-  // best for 64x48x32, so the prior must override the analytical pick.
-  std::string Path = testing::TempDir() + "/engine_prior.json";
-  {
-    std::FILE *F = std::fopen(Path.c_str(), "w");
-    ASSERT_NE(F, nullptr);
-    std::fputs(R"({
-  "bench": "dispatch",
-  "rows": [
-    {"label": "64", "series": "hot_plan", "metric": "gflops",
-     "better": "higher", "value": 40.0, "m": 64, "n": 48, "k": 32,
-     "counters": {"mr": 8, "nr": 12}},
-    {"label": "64", "series": "hot_plan", "metric": "gflops",
-     "better": "higher", "value": 55.0, "m": 64, "n": 48, "k": 32,
-     "counters": {"mr": 8, "nr": 8}},
-    {"label": "96", "series": "hot_plan", "metric": "gflops",
-     "better": "higher", "value": 99.0, "m": 96, "n": 96, "k": 96,
-     "counters": {"mr": 16, "nr": 12}}
-  ]
-})",
-               F);
-    std::fclose(F);
-  }
-
-  int64_t Mr = 0, Nr = 0;
-  ASSERT_TRUE(lookupPlanPrior(Path, 64, 48, 32, Mr, Nr));
-  EXPECT_EQ(Mr, 8);
-  EXPECT_EQ(Nr, 8);
-  EXPECT_FALSE(lookupPlanPrior(Path, 65, 48, 32, Mr, Nr)); // exact only
-
-  PlanChoice Choice = choosePlan(64, 48, 32, nullptr, Path);
-  EXPECT_STREQ(Choice.Source, "prior");
-  EXPECT_EQ(Choice.MR, 8);
-  EXPECT_EQ(Choice.NR, 8);
-
-  // Shapes without a measured row fall back to the analytical model.
-  PlanChoice Model = choosePlan(33, 65, 17, nullptr, Path);
-  EXPECT_STREQ(Model.Source, "model");
-}
-
 TEST(EngineConfigTest, CustomSeriesRequiresProvider) {
   // Every entry point must report the misconfiguration as an Error; the
   // planFor/warm paths used to dereference the null provider in build().

@@ -196,3 +196,80 @@ TEST(Governor, RacingGovernedCallersMatchFixedPlanBitwise) {
   EXPECT_GE(S.GovGrants, static_cast<uint64_t>(Callers) * Rounds);
   EXPECT_GE(S.GovWidthSum, S.GovGrants);
 }
+
+namespace {
+
+/// Storage for \p Elems elements of \p Ty's input type, filled from the
+/// shared benchmark RNG: values in the float types' comfortable range, the
+/// full signed byte range for i8.
+std::vector<unsigned char> typedOperand(DType Ty, size_t Elems,
+                                        unsigned Seed) {
+  std::vector<float> F(Elems);
+  benchutil::fillRandom(F.data(), F.size(), Seed);
+  std::vector<unsigned char> Out(Elems * dtypeInBytes(Ty));
+  for (size_t I = 0; I != Elems; ++I) {
+    if (Ty == DType::I8I32) {
+      Out[I] = static_cast<unsigned char>(static_cast<int8_t>(F[I] * 127.0f));
+      continue;
+    }
+    const uint16_t H = Ty == DType::F16 ? f32ToF16(F[I]) : f32ToBf16(F[I]);
+    std::memcpy(&Out[I * sizeof(H)], &H, sizeof(H));
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(Governor, TypedCallsAreGovernedAndMatchFixedPlanBitwise) {
+  if (!baselineKernelsUsable())
+    GTEST_SKIP() << "host lacks AVX2+FMA";
+
+  // 2*160*128*192 ~ 7.9 Mflop: above the default work floor for more than
+  // one team member, so a grant can actually widen the team.
+  const int64_t M = 160, N = 128, K = 192;
+
+  EngineConfig Fixed;
+  Fixed.Series = EngineSeries::Blis;
+  Fixed.Threads = 1;
+  Fixed.Governor = 0;
+  Engine ERef(Fixed);
+
+  EngineConfig Gov;
+  Gov.Series = EngineSeries::Blis;
+  Gov.Threads = 4;
+  Gov.Governor = 1;
+  Engine EGov(Gov);
+
+  for (DType Ty : {DType::F16, DType::BF16, DType::I8I32}) {
+    SCOPED_TRACE(dtypeName(Ty));
+    const std::vector<unsigned char> A = typedOperand(Ty, M * K, 51);
+    const std::vector<unsigned char> B = typedOperand(Ty, K * N, 52);
+    // A non-trivial beta over a seeded C covers the pre-scale too.
+    std::vector<unsigned char> CRef(M * N * dtypeOutBytes(Ty));
+    std::vector<float> C0(M * N);
+    benchutil::fillRandom(C0.data(), C0.size(), 53);
+    for (size_t I = 0; I != C0.size(); ++I) {
+      if (Ty == DType::I8I32) {
+        const int32_t V = static_cast<int32_t>(C0[I] * 1000.0f);
+        std::memcpy(&CRef[I * sizeof(V)], &V, sizeof(V));
+      } else {
+        const uint16_t H =
+            Ty == DType::F16 ? f32ToF16(C0[I]) : f32ToBf16(C0[I]);
+        std::memcpy(&CRef[I * sizeof(H)], &H, sizeof(H));
+      }
+    }
+    std::vector<unsigned char> CGov = CRef;
+    const double Alpha = Ty == DType::I8I32 ? 3.0 : 0.75;
+    const double Beta = Ty == DType::I8I32 ? -2.0 : 0.5;
+
+    ASSERT_FALSE(ERef.gemm(Ty, Trans::None, Trans::None, M, N, K, Alpha,
+                           A.data(), M, B.data(), K, Beta, CRef.data(), M));
+    const uint64_t GrantsBefore = EGov.stats().GovGrants;
+    ASSERT_FALSE(EGov.gemm(Ty, Trans::None, Trans::None, M, N, K, Alpha,
+                           A.data(), M, B.data(), K, Beta, CGov.data(), M));
+    EXPECT_EQ(EGov.stats().GovGrants, GrantsBefore + 1)
+        << "a governed typed call must take exactly one grant";
+    EXPECT_EQ(0, std::memcmp(CGov.data(), CRef.data(), CRef.size()))
+        << "governed typed result differs from the 1-thread result";
+  }
+}
