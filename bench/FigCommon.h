@@ -335,6 +335,43 @@ inline void addSeriesRows(Context &Ctx, const std::string &Label, int64_t M,
   }
 }
 
+/// Whole-pass aggregate over a model's layers (paper Figs. 16/18): per
+/// series, the sum of SecondsPerCall x the layer's multiplicity, taken from
+/// the same per-layer measurements the per-layer figure reports.
+struct PassTotal {
+  std::vector<double> Seconds = std::vector<double>(seriesNames().size());
+  double Flops = 0;
+
+  void add(const std::vector<SeriesPoint> &Points, int Count,
+           double FlopsPerCall) {
+    for (size_t I = 0; I != Points.size(); ++I)
+      Seconds[I] += Points[I].M.SecondsPerCall * Count;
+    Flops += FlopsPerCall * Count;
+  }
+
+  /// Prints the aggregate table \p Table and appends one "seconds" row
+  /// per series under \p Label (e.g. "resnet50_pass").
+  void report(Context &Ctx, const std::string &Table,
+              const std::string &Label) const {
+    benchutil::Table T(Table, {"series", "time_ms", "aggregate_gflops"},
+                       Ctx.Opt.Csv);
+    for (size_t I = 0; I != Seconds.size(); ++I) {
+      T.addRow(seriesNames()[I],
+               {Seconds[I] * 1e3, benchutil::gflops(Flops, Seconds[I])});
+      benchutil::ReportRow Row;
+      Row.Label = Label;
+      Row.Series = seriesNames()[I];
+      Row.Metric = "seconds";
+      Row.Better = "lower";
+      Row.Value = Seconds[I];
+      Row.SecondsPerCall = Seconds[I];
+      Row.Threads = gemm::resolveGemmThreads(0);
+      Ctx.Rep.addRow(std::move(Row));
+    }
+    T.print();
+  }
+};
+
 } // namespace fig
 
 #endif // BENCH_FIGCOMMON_H

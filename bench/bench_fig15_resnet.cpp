@@ -1,8 +1,13 @@
-//===- bench_fig15_resnet.cpp - Paper Figure 15 (and Table I) -------------===//
+//===- bench_fig15_resnet.cpp - Paper Figures 15-16 (and Table I) ---------===//
 //
 // Per-layer GFLOPS for the 20 unique ResNet50 v1.5 im2row GEMMs. Expected
 // shape (paper Fig. 15): ALG+EXO is the best option on roughly half the
 // layers (the edge-rich ones), BLIS-with-prefetch on most of the rest.
+//
+// The same run's per-layer times, weighted by each layer's multiplicity,
+// give the aggregated GEMM time of one batch-1 inference pass over all 53
+// layer instances ("resnet50_pass" rows). Expected shape (paper Fig. 16):
+// ALG+EXO lowest total, then BLIS, ALG+BLIS, ALG+NEON.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +34,7 @@ int main(int Argc, char **Argv) {
   std::printf("\nFigure 15: per-layer performance, ResNet50 v1.5\n");
   benchutil::Table T("fig15_resnet_gflops",
                      fig::seriesHeader("layer", {"winner"}), Opt.Csv);
+  fig::PassTotal Pass;
   int ExoWins = 0;
   for (const dnn::LayerGemm &L : Layers) {
     std::vector<fig::SeriesPoint> Pts =
@@ -46,10 +52,14 @@ int main(int Argc, char **Argv) {
     T.addRow(std::move(Cells));
     fig::addSeriesRows(Ctx, "layer" + std::to_string(L.Id), L.M, L.N, L.K,
                        Pts);
+    Pass.add(Pts, L.Count, L.flops());
   }
   T.print();
   std::printf("ALG+EXO is the best option for %d of %zu layers "
               "(paper: 9 of 20 on Carmel).\n",
               ExoWins, Layers.size());
+
+  std::printf("\nFigure 16: aggregated inference GEMM time, ResNet50 v1.5\n");
+  Pass.report(Ctx, "fig16_resnet_time", "resnet50_pass");
   return Ctx.finish();
 }

@@ -1,8 +1,12 @@
-//===- bench_fig17_vgg.cpp - Paper Figure 17 (and Table II) ---------------===//
+//===- bench_fig17_vgg.cpp - Paper Figures 17-18 (and Table II) -----------===//
 //
 // Per-layer GFLOPS for the 9 unique VGG16 im2row GEMMs. Expected shape
 // (paper Fig. 17): EXO best on a few layers, BLIS-with-prefetch on several,
 // ALG+BLIS on a couple; overall close.
+//
+// The same run's per-layer times, weighted by each layer's multiplicity,
+// give the aggregated GEMM time of one batch-1 inference pass ("vgg16_pass"
+// rows). Expected shape (paper Fig. 18): ALG+EXO and BLIS close at the top.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +33,7 @@ int main(int Argc, char **Argv) {
   std::printf("\nFigure 17: per-layer performance, VGG16\n");
   benchutil::Table T("fig17_vgg_gflops",
                      fig::seriesHeader("layer", {"winner"}), Opt.Csv);
+  fig::PassTotal Pass;
   for (const dnn::LayerGemm &L : Layers) {
     std::vector<fig::SeriesPoint> Pts =
         fig::gemmSeriesRun(L.M, L.N, L.K, Opt.Seconds);
@@ -43,7 +48,11 @@ int main(int Argc, char **Argv) {
     T.addRow(std::move(Cells));
     fig::addSeriesRows(Ctx, "layer" + std::to_string(L.Id), L.M, L.N, L.K,
                        Pts);
+    Pass.add(Pts, L.Count, L.flops());
   }
   T.print();
+
+  std::printf("\nFigure 18: aggregated inference GEMM time, VGG16\n");
+  Pass.report(Ctx, "fig18_vgg_time", "vgg16_pass");
   return Ctx.finish();
 }

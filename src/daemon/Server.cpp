@@ -72,12 +72,66 @@ struct Session {
   }
 };
 
+/// One admitted GEMM, normalized: a GemmRequest is a batch of one with
+/// zero strides. Kind is the packet type it arrived as, which picks the
+/// reply type and the Engine entry.
 struct Work {
   std::shared_ptr<Session> S;
-  ipc::GemmRequestMsg Req;
-  ipc::GemmBatchRequestMsg BatchReq;
-  bool IsBatch = false;
+  ipc::PacketType Kind = ipc::PacketType::GemmRequest;
+  uint32_t Seq = 0;
+  uint8_t TA = 0, TB = 0, DTy = 0;
+  float Alpha = 1.0f, Beta = 0.0f;
+  int64_t M = 0, N = 0, K = 0;
+  uint64_t OffA = 0, OffB = 0, OffC = 0;
+  int64_t Lda = 0, Ldb = 0, Ldc = 0;
+  int64_t StrideA = 0, StrideB = 0, StrideC = 0;
+  int64_t Count = 1;
+
+  bool batched() const { return Kind == ipc::PacketType::GemmBatchRequest; }
+  ipc::PacketType replyType() const {
+    return batched() ? ipc::PacketType::GemmBatchReply
+                     : ipc::PacketType::GemmReply;
+  }
 };
+
+/// Normalizes the GemmRequest or GemmBatchRequest in \p Slot into \p W;
+/// false when the header's Bytes does not cover the packet.
+bool readGemm(const void *Slot, const ipc::PacketHeader &PH, Work &W) {
+  auto Common = [&](const auto &Q) {
+    W.Kind = static_cast<ipc::PacketType>(PH.Type);
+    W.Seq = PH.Seq;
+    W.TA = Q.TA;
+    W.TB = Q.TB;
+    W.DTy = Q.DTy;
+    W.Alpha = Q.Alpha;
+    W.Beta = Q.Beta;
+    W.M = Q.M;
+    W.N = Q.N;
+    W.K = Q.K;
+    W.OffA = Q.OffA;
+    W.OffB = Q.OffB;
+    W.OffC = Q.OffC;
+    W.Lda = Q.Lda;
+    W.Ldb = Q.Ldb;
+    W.Ldc = Q.Ldc;
+  };
+  if (PH.Type == static_cast<uint16_t>(ipc::PacketType::GemmRequest)) {
+    ipc::GemmRequestMsg Q;
+    if (!ipc::readPacket(Slot, PH.Bytes, Q))
+      return false;
+    Common(Q);
+    return true;
+  }
+  ipc::GemmBatchRequestMsg Q;
+  if (!ipc::readPacket(Slot, PH.Bytes, Q))
+    return false;
+  Common(Q);
+  W.StrideA = Q.StrideA;
+  W.StrideB = Q.StrideB;
+  W.StrideC = Q.StrideC;
+  W.Count = Q.BatchCount;
+  return true;
+}
 
 } // namespace
 
@@ -140,7 +194,6 @@ struct Server::Impl {
   void handshake(ipc::Socket Conn);
   void drainSession(const std::shared_ptr<Session> &S);
   void handleGemm(const Work &W);
-  void handleGemmBatch(const Work &W);
   void reapSession(const std::shared_ptr<Session> &S, const char *Why);
   bool sendReply(const std::shared_ptr<Session> &S, const void *Packet,
                  uint32_t Bytes);
@@ -296,63 +349,24 @@ void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
       return;
     }
     switch (static_cast<ipc::PacketType>(PH.Type)) {
-    case ipc::PacketType::GemmRequest: {
-      ipc::GemmRequestMsg Req;
-      if (!ipc::readPacket(Slot, PH.Bytes, Req)) {
-        reapSession(S, "truncated GemmRequest");
-        return;
-      }
-      S->Requests.fetch_add(1, std::memory_order_relaxed);
-      ReqTotal.fetch_add(1, std::memory_order_relaxed);
-      S->LastM.store(Req.M, std::memory_order_relaxed);
-      S->LastN.store(Req.N, std::memory_order_relaxed);
-      S->LastK.store(Req.K, std::memory_order_relaxed);
-      bool Admitted = false;
-      {
-        std::lock_guard<std::mutex> Lock(QMu);
-        if (!Stopping && Queue.size() < Opts.QueueMax) {
-          Work W;
-          W.S = S;
-          W.Req = Req;
-          Queue.push_back(std::move(W));
-          Admitted = true;
-        }
-      }
-      if (Admitted) {
-        QCv.notify_one();
-      } else {
-        obs::mark("gemmd.busy");
-        S->Busy.fetch_add(1, std::memory_order_relaxed);
-        BusyTotal.fetch_add(1, std::memory_order_relaxed);
-        ipc::GemmReplyMsg Rep;
-        Rep.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmReply);
-        Rep.H.Seq = PH.Seq;
-        Rep.H.Bytes = sizeof(Rep);
-        fillReplyError(Rep, ipc::ReqStatus::Busy,
-                       "admission queue full, request dropped");
-        sendReply(S, &Rep, sizeof(Rep));
-      }
-      break;
-    }
+    case ipc::PacketType::GemmRequest:
     case ipc::PacketType::GemmBatchRequest: {
-      ipc::GemmBatchRequestMsg Req;
-      if (!ipc::readPacket(Slot, PH.Bytes, Req)) {
-        reapSession(S, "truncated GemmBatchRequest");
+      Work W;
+      if (!readGemm(Slot, PH, W)) {
+        reapSession(S, "truncated GEMM request");
         return;
       }
+      W.S = S;
       S->Requests.fetch_add(1, std::memory_order_relaxed);
       ReqTotal.fetch_add(1, std::memory_order_relaxed);
-      S->LastM.store(Req.M, std::memory_order_relaxed);
-      S->LastN.store(Req.N, std::memory_order_relaxed);
-      S->LastK.store(Req.K, std::memory_order_relaxed);
+      S->LastM.store(W.M, std::memory_order_relaxed);
+      S->LastN.store(W.N, std::memory_order_relaxed);
+      S->LastK.store(W.K, std::memory_order_relaxed);
+      const ipc::PacketType ReplyType = W.replyType();
       bool Admitted = false;
       {
         std::lock_guard<std::mutex> Lock(QMu);
         if (!Stopping && Queue.size() < Opts.QueueMax) {
-          Work W;
-          W.S = S;
-          W.BatchReq = Req;
-          W.IsBatch = true;
           Queue.push_back(std::move(W));
           Admitted = true;
         }
@@ -364,7 +378,7 @@ void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
         S->Busy.fetch_add(1, std::memory_order_relaxed);
         BusyTotal.fetch_add(1, std::memory_order_relaxed);
         ipc::GemmReplyMsg Rep;
-        Rep.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmBatchReply);
+        Rep.H.Type = static_cast<uint16_t>(ReplyType);
         Rep.H.Seq = PH.Seq;
         Rep.H.Bytes = sizeof(Rep);
         fillReplyError(Rep, ipc::ReqStatus::Busy,
@@ -479,62 +493,72 @@ void Server::Impl::pollLoop() {
 
 void Server::Impl::handleGemm(const Work &W) {
   const std::shared_ptr<Session> &S = W.S;
-  const ipc::GemmRequestMsg &Q = W.Req;
   if (S->Dead.load(std::memory_order_relaxed))
     return; // no one left to read the result
 
   ipc::GemmReplyMsg Rep;
-  Rep.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmReply);
-  Rep.H.Seq = Q.H.Seq;
+  Rep.H.Type = static_cast<uint16_t>(W.replyType());
+  Rep.H.Seq = W.Seq;
   Rep.H.Bytes = sizeof(Rep);
+  auto Reject = [&](const char *Why) {
+    S->Errors.fetch_add(1, std::memory_order_relaxed);
+    ErrTotal.fetch_add(1, std::memory_order_relaxed);
+    fillReplyError(Rep, ipc::ReqStatus::Bad, Why);
+    sendReply(S, &Rep, sizeof(Rep));
+  };
+
+  // Never trust the dtype byte. Batches are f32-only in wire v3 (Wire.h):
+  // the batched engine path has no typed counterpart yet, so any non-zero
+  // dtype byte on one is a client bug.
+  if (W.DTy >= gemm::DTypeCount)
+    return Reject("unknown request dtype");
+  if (W.batched() && W.DTy != 0)
+    return Reject("batched requests are f32-only in wire v3");
 
   // Geometry validation against the arena: every byte the engine will
-  // touch must land inside this client's region, at the *request dtype's*
+  // touch must land inside this client's region, at the request dtype's
   // element sizes (A/B at dtypeInBytes, C at dtypeOutBytes — an i8 span is
   // a quarter of the f32 span the same dims imply, and its C is still 4
-  // bytes wide). Offsets/extents are attacker-controlled; do the
-  // arithmetic wide, and never trust the dtype byte itself either.
-  const uint64_t Arena = S->Layout.ArenaBytes;
-  if (Q.DTy >= gemm::DTypeCount) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Bad, "unknown request dtype");
-    sendReply(S, &Rep, sizeof(Rep));
-    return;
-  }
-  const gemm::DType Ty = static_cast<gemm::DType>(Q.DTy);
+  // bytes wide). Strides are required non-negative, so the furthest byte
+  // belongs to the last item; a single request (count 1, stride 0) is
+  // just its one item's span. Offsets/extents are attacker-controlled: do
+  // the arithmetic wide.
+  const gemm::DType Ty = static_cast<gemm::DType>(W.DTy);
   const uint64_t InB = gemm::dtypeInBytes(Ty);
   const uint64_t OutB = gemm::dtypeOutBytes(Ty);
-  auto SpanOk = [&](uint64_t Off, int64_t Ld, int64_t Cols, uint64_t Elem) {
-    if (Ld <= 0 || Cols <= 0 || Off % Elem != 0 || Off > Arena)
+  const uint64_t Arena = S->Layout.ArenaBytes;
+  auto SpanOk = [&](uint64_t Off, int64_t Ld, int64_t Cols, int64_t Stride,
+                    uint64_t Elem) {
+    if (Ld <= 0 || Cols <= 0 || Stride < 0 || Off % Elem != 0 || Off > Arena)
       return false;
-    unsigned __int128 Bytes =
+    unsigned __int128 End =
+        static_cast<unsigned __int128>(static_cast<uint64_t>(Stride)) *
+            static_cast<uint64_t>(W.Count - 1) * Elem +
         static_cast<unsigned __int128>(Ld) * static_cast<uint64_t>(Cols) *
-        Elem;
-    return Bytes <= static_cast<unsigned __int128>(Arena - Off);
+            Elem;
+    return End <= static_cast<unsigned __int128>(Arena - Off);
   };
-  const int64_t ARows = Q.TA ? Q.K : Q.M;
-  const int64_t ACols = Q.TA ? Q.M : Q.K;
-  const int64_t BRows = Q.TB ? Q.N : Q.K;
-  const int64_t BCols = Q.TB ? Q.K : Q.N;
-  const bool Valid = Q.M > 0 && Q.N > 0 && Q.K > 0 && Q.TA <= 1 &&
-                     Q.TB <= 1 && Q.Lda >= ARows && Q.Ldb >= BRows &&
-                     Q.Ldc >= Q.M && SpanOk(Q.OffA, Q.Lda, ACols, InB) &&
-                     SpanOk(Q.OffB, Q.Ldb, BCols, InB) &&
-                     SpanOk(Q.OffC, Q.Ldc, Q.N, OutB);
-  if (!Valid) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Bad,
-                   "request geometry escapes the session arena");
-    sendReply(S, &Rep, sizeof(Rep));
-    return;
-  }
+  const int64_t ARows = W.TA ? W.K : W.M;
+  const int64_t ACols = W.TA ? W.M : W.K;
+  const int64_t BRows = W.TB ? W.N : W.K;
+  const int64_t BCols = W.TB ? W.K : W.N;
+  const bool Valid =
+      W.Count > 0 && W.M > 0 && W.N > 0 && W.K > 0 && W.TA <= 1 &&
+      W.TB <= 1 && W.Lda >= ARows && W.Ldb >= BRows && W.Ldc >= W.M &&
+      (W.Count == 1 || static_cast<__int128>(W.StrideC) >=
+                           static_cast<__int128>(W.Ldc) * W.N) &&
+      SpanOk(W.OffA, W.Lda, ACols, W.StrideA, InB) &&
+      SpanOk(W.OffB, W.Ldb, BCols, W.StrideB, InB) &&
+      SpanOk(W.OffC, W.Ldc, W.N, W.StrideC, OutB);
+  if (!Valid)
+    return Reject("request geometry escapes the session arena");
 
   unsigned char *Arena0 = S->Shm.at(S->Layout.ArenaOff);
-  const void *A = Arena0 + Q.OffA;
-  const void *B = Arena0 + Q.OffB;
-  void *C = Arena0 + Q.OffC;
+  const void *A = Arena0 + W.OffA;
+  const void *B = Arena0 + W.OffB;
+  void *C = Arena0 + W.OffC;
+  const gemm::Trans TA = W.TA ? gemm::Trans::Transpose : gemm::Trans::None;
+  const gemm::Trans TB = W.TB ? gemm::Trans::Transpose : gemm::Trans::None;
 
   // Cache-attribution flags ride on global counter deltas around the
   // call; with several executors they can misattribute a neighbor's
@@ -545,112 +569,18 @@ void Server::Impl::handleGemm(const Work &W) {
   uint64_t T0 = nowNs();
   Error E = [&] {
     EXO_OBS_SPAN("gemmd.request");
-    // The typed front door; F32 lands on the byte-identical sgemm path.
-    // For I8I32 the engine itself rejects fractional alpha/beta, which
-    // surfaces to the client as ReqStatus::Error with the message intact.
-    return Eng.gemm(Ty, Q.TA ? gemm::Trans::Transpose : gemm::Trans::None,
-                    Q.TB ? gemm::Trans::Transpose : gemm::Trans::None, Q.M,
-                    Q.N, Q.K, static_cast<double>(Q.Alpha), A, Q.Lda, B,
-                    Q.Ldb, static_cast<double>(Q.Beta), C, Q.Ldc);
-  }();
-  Rep.ServerNs = nowNs() - T0;
-  gemm::EngineStats EA = Eng.stats();
-  ukr::CacheStats UA = ukr::globalCacheStats();
-  if (EA.Hits > EB.Hits)
-    Rep.Flags |= ipc::ReplyPlanHit;
-  if (EA.Builds > EB.Builds)
-    Rep.Flags |= ipc::ReplyPlanBuilt;
-  if (UA.Compiles > UB.Compiles)
-    Rep.Flags |= ipc::ReplyJitCompiled;
-
-  if (E) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Error, E.message());
-  } else {
-    S->Ok.fetch_add(1, std::memory_order_relaxed);
-    OkTotal.fetch_add(1, std::memory_order_relaxed);
-    Rep.Status = static_cast<int32_t>(ipc::ReqStatus::Ok);
-  }
-  sendReply(S, &Rep, sizeof(Rep));
-}
-
-void Server::Impl::handleGemmBatch(const Work &W) {
-  const std::shared_ptr<Session> &S = W.S;
-  const ipc::GemmBatchRequestMsg &Q = W.BatchReq;
-  if (S->Dead.load(std::memory_order_relaxed))
-    return; // no one left to read the result
-
-  ipc::GemmReplyMsg Rep;
-  Rep.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmBatchReply);
-  Rep.H.Seq = Q.H.Seq;
-  Rep.H.Bytes = sizeof(Rep);
-
-  // Batches are f32-only in wire v3 (Wire.h): the batched engine path has
-  // no typed counterpart yet, so any non-zero dtype byte is a client bug.
-  if (Q.DTy != 0) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Bad,
-                   "batched requests are f32-only in wire v3");
-    sendReply(S, &Rep, sizeof(Rep));
-    return;
-  }
-
-  // Same wide arithmetic as handleGemm, stretched across the batch: the
-  // strides are required non-negative, so the furthest byte the engine
-  // can touch belongs to the last item — that span must land inside this
-  // client's arena.
-  const uint64_t Arena = S->Layout.ArenaBytes;
-  auto BatchSpanOk = [&](uint64_t Off, int64_t Ld, int64_t Cols,
-                         int64_t Stride) {
-    if (Ld <= 0 || Cols <= 0 || Stride < 0 || Off % sizeof(float) != 0 ||
-        Off > Arena)
-      return false;
-    unsigned __int128 End =
-        static_cast<unsigned __int128>(static_cast<uint64_t>(Stride)) *
-            static_cast<uint64_t>(Q.BatchCount - 1) * sizeof(float) +
-        static_cast<unsigned __int128>(Ld) * static_cast<uint64_t>(Cols) *
-            sizeof(float);
-    return End <= static_cast<unsigned __int128>(Arena - Off);
-  };
-  const int64_t ARows = Q.TA ? Q.K : Q.M;
-  const int64_t ACols = Q.TA ? Q.M : Q.K;
-  const int64_t BRows = Q.TB ? Q.N : Q.K;
-  const int64_t BCols = Q.TB ? Q.K : Q.N;
-  const bool Valid =
-      Q.BatchCount > 0 && Q.M > 0 && Q.N > 0 && Q.K > 0 && Q.TA <= 1 &&
-      Q.TB <= 1 && Q.Lda >= ARows && Q.Ldb >= BRows && Q.Ldc >= Q.M &&
-      (Q.BatchCount == 1 ||
-       static_cast<__int128>(Q.StrideC) >=
-           static_cast<__int128>(Q.Ldc) * Q.N) &&
-      BatchSpanOk(Q.OffA, Q.Lda, ACols, Q.StrideA) &&
-      BatchSpanOk(Q.OffB, Q.Ldb, BCols, Q.StrideB) &&
-      BatchSpanOk(Q.OffC, Q.Ldc, Q.N, Q.StrideC);
-  if (!Valid) {
-    S->Errors.fetch_add(1, std::memory_order_relaxed);
-    ErrTotal.fetch_add(1, std::memory_order_relaxed);
-    fillReplyError(Rep, ipc::ReqStatus::Bad,
-                   "batch geometry escapes the session arena");
-    sendReply(S, &Rep, sizeof(Rep));
-    return;
-  }
-
-  unsigned char *Arena0 = S->Shm.at(S->Layout.ArenaOff);
-  const float *A = reinterpret_cast<const float *>(Arena0 + Q.OffA);
-  const float *B = reinterpret_cast<const float *>(Arena0 + Q.OffB);
-  float *C = reinterpret_cast<float *>(Arena0 + Q.OffC);
-
-  gemm::EngineStats EB = Eng.stats();
-  ukr::CacheStats UB = ukr::globalCacheStats();
-  uint64_t T0 = nowNs();
-  Error E = [&] {
-    EXO_OBS_SPAN("gemmd.batch");
-    return Eng.sgemmStridedBatched(
-        Q.TA ? gemm::Trans::Transpose : gemm::Trans::None,
-        Q.TB ? gemm::Trans::Transpose : gemm::Trans::None, Q.M, Q.N, Q.K,
-        Q.Alpha, A, Q.Lda, Q.StrideA, B, Q.Ldb, Q.StrideB, Q.Beta, C, Q.Ldc,
-        Q.StrideC, Q.BatchCount);
+    // Batches keep their own Engine entry so EngineStats' batch counters
+    // mean what they say. For I8I32 the engine itself rejects fractional
+    // alpha/beta, which surfaces to the client as ReqStatus::Error with
+    // the message intact.
+    if (W.batched())
+      return Eng.sgemmStridedBatched(
+          TA, TB, W.M, W.N, W.K, W.Alpha, static_cast<const float *>(A),
+          W.Lda, W.StrideA, static_cast<const float *>(B), W.Ldb, W.StrideB,
+          W.Beta, static_cast<float *>(C), W.Ldc, W.StrideC, W.Count);
+    return Eng.gemm(Ty, TA, TB, W.M, W.N, W.K, static_cast<double>(W.Alpha),
+                    A, W.Lda, B, W.Ldb, static_cast<double>(W.Beta), C,
+                    W.Ldc);
   }();
   Rep.ServerNs = nowNs() - T0;
   gemm::EngineStats EA = Eng.stats();
@@ -688,10 +618,7 @@ void Server::Impl::executorLoop() {
       W = std::move(Queue.front());
       Queue.pop_front();
     }
-    if (W.IsBatch)
-      handleGemmBatch(W);
-    else
-      handleGemm(W);
+    handleGemm(W);
   }
 }
 

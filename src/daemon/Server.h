@@ -31,7 +31,9 @@
 ///
 /// Threading: one poller thread owns the listen socket, the session table
 /// and all doorbell fds; Options::Workers executor threads own the
-/// bounded queue and run Engine::sgemm. Replies go back through the
+/// bounded queue and run Engine::gemm, the one typed door (batch packets:
+/// Engine::sgemmStridedBatched). Single and batched requests share one
+/// admission branch and one handler. Replies go back through the
 /// session's response ring under a per-session write lock. stop() is
 /// graceful: accepted work drains, sessions then close.
 ///
@@ -56,7 +58,7 @@ struct ServerOptions {
   /// Concurrent sessions admitted; 0 resolves EXO_GEMMD_MAX_CLIENTS,
   /// else 64.
   int MaxClients = 0;
-  /// Executor threads running Engine::sgemm; 0 resolves
+  /// Executor threads running Engine::gemm; 0 resolves
   /// EXO_GEMMD_WORKERS, else 1 (the Engine's own team parallelism is the
   /// intended scaling axis; raise for many tiny concurrent requests).
   unsigned Workers = 0;

@@ -5,18 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The client half of gemmd: `gemm::Client::sgemm` is call-compatible with
-/// `Engine::sgemm`, but instead of planning and executing locally it
-/// stages the operands into the session's shared-memory arena, posts a
-/// GemmRequest packet on the request ring, rings the doorbell, and blocks
-/// until the server's reply — so a fleet of processes shares ONE warm
-/// plan cache, ONE JIT cache, and ONE thread pool inside the daemon
-/// instead of each paying the cold-start cost (docs/GEMMD.md).
+/// The client half of gemmd: `gemm::Client::gemm` is call-compatible with
+/// `Engine::gemm`, the Engine's one typed front door, but instead of
+/// planning and executing locally it stages the operands into the
+/// session's shared-memory arena, posts a GemmRequest packet on the
+/// request ring, rings the doorbell, and blocks until the server's reply —
+/// so a fleet of processes shares ONE warm plan cache, ONE JIT cache, and
+/// ONE thread pool inside the daemon instead of each paying the cold-start
+/// cost (docs/GEMMD.md). `sgemm` forwards to it; `sgemmStridedBatched`
+/// ships a whole batch as one GemmBatchRequest. Both doors check their own
+/// arguments, then share one staging/transport/collect routine.
 ///
 /// Semantics match the Engine exactly: degenerate calls (m/n/k == 0,
 /// alpha == 0) are answered locally through the same scaleByBeta path the
 /// Engine uses and never touch the wire; everything else produces results
-/// bitwise identical to a local `Engine::sgemm` with the daemon's config
+/// bitwise identical to a local `Engine::gemm` with the daemon's config
 /// (the daemon_test differential suite enforces this).
 ///
 /// Lifecycle: connect() is explicit or implicit on first use; a
@@ -63,34 +66,33 @@ public:
   Client(const Client &) = delete;
   Client &operator=(const Client &) = delete;
 
-  /// Establishes the session now (handshake + shm mapping). sgemm calls
+  /// Establishes the session now (handshake + shm mapping). GEMM calls
   /// do this lazily; connect() exists so callers can fail fast.
   exo::Error connect();
   bool connected() const;
   /// Tears the session down; the next call reconnects.
   void disconnect();
 
-  /// Remote C = alpha * op(A) * op(B) + beta * C; call-compatible with
-  /// Engine::sgemm and bitwise identical to the daemon engine's local
-  /// result.
-  exo::Error sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                   float Alpha, const float *A, int64_t Lda, const float *B,
-                   int64_t Ldb, float Beta, float *C, int64_t Ldc);
-
-  /// Typed remote GEMM, call-compatible with Engine::gemm (wire v3):
-  /// operands are raw element buffers of \p Ty's storage types (f32 floats,
-  /// f16/bf16 uint16 halves, i8 A/B with i32 C) and the dtype byte rides
-  /// the request packet so the server re-validates the arena spans at the
-  /// right element sizes. F32 routes through sgemm() and stays bitwise
-  /// identical to the untyped path. Alpha/beta cross the wire as f32, so
-  /// they must be exactly representable in f32 (for I8I32 they must also
-  /// be integers — both enforced client-side so the error names the caller
-  /// rather than costing a round trip). Degenerate calls resolve locally
-  /// through the same scaleByBeta path the Engine uses.
+  /// Remote C = alpha * op(A) * op(B) + beta * C, call-compatible with
+  /// Engine::gemm (wire v3) and bitwise identical to the daemon engine's
+  /// local result: operands are raw element buffers of \p Ty's storage
+  /// types (f32 floats, f16/bf16 uint16 halves, i8 A/B with i32 C) and the
+  /// dtype byte rides the request packet so the server re-validates the
+  /// arena spans at the right element sizes. Alpha/beta cross the wire as
+  /// f32, so for every dtype they must be exactly representable in f32
+  /// (NaN passes as NaN); for I8I32 they must also be integers. Both rules
+  /// are enforced client-side, so the error names the caller rather than
+  /// costing a round trip. Degenerate calls resolve locally through the
+  /// same scaleByBeta path the Engine uses.
   exo::Error gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
                   int64_t K, double Alpha, const void *A, int64_t Lda,
                   const void *B, int64_t Ldb, double Beta, void *C,
                   int64_t Ldc);
+
+  /// gemm(DType::F32, ...), call-compatible with Engine::sgemm.
+  exo::Error sgemm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
+                   float Alpha, const float *A, int64_t Lda, const float *B,
+                   int64_t Ldb, float Beta, float *C, int64_t Ldc);
 
   exo::Error sgemm(int64_t M, int64_t N, int64_t K, float Alpha,
                    const float *A, int64_t Lda, const float *B, int64_t Ldb,
@@ -103,9 +105,10 @@ public:
   /// Engine::sgemmStridedBatched: BatchCount same-shape problems cross the
   /// wire as ONE packet and ONE doorbell round-trip, so a model's worth of
   /// small GEMMs pays the per-request latency once. StrideA/StrideB == 0
-  /// ships the shared operand a single time. Degenerate batches resolve
-  /// locally like sgemm; results are bitwise identical to the daemon
-  /// engine's local sgemmStridedBatched.
+  /// ships the shared operand a single time. As in the Engine, overlapping
+  /// C items are an error even on a degenerate batch; degenerate batches
+  /// otherwise resolve locally like gemm. Results are bitwise identical to
+  /// the daemon engine's local sgemmStridedBatched.
   exo::Error sgemmStridedBatched(Trans TA, Trans TB, int64_t M, int64_t N,
                                  int64_t K, float Alpha, const float *A,
                                  int64_t Lda, int64_t StrideA, const float *B,
@@ -121,13 +124,18 @@ public:
   /// cache.
   exo::Error serverStats(ipc::StatsReplyMsg &Out);
 
-  /// ReplyFlags of the last completed remote sgemm (plan hit / plan
-  /// built / jit compiled), 0 before any call.
+  /// ReplyFlags of the last completed remote GEMM or batch (plan hit /
+  /// plan built / jit compiled), 0 before any call.
   uint32_t lastFlags() const { return LastFlags; }
-  /// Remote sgemm calls completed Ok over this Client's lifetime.
+  /// Remote GEMM and batch calls completed Ok over this Client's lifetime.
   uint64_t requestsOk() const { return RequestsOk; }
 
 private:
+  struct Call;
+  /// Everything after a door's own argument checks: degenerate quick
+  /// returns, arena layout, staging, the request packet, the round trip,
+  /// reply status and collecting C.
+  exo::Error run(const Call &Q);
   exo::Error ensureConnectedLocked();
   exo::Error transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
                             ipc::PacketType WantType, uint32_t WantSeq);

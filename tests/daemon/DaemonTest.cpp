@@ -38,6 +38,7 @@
 #include <csignal>
 #include <cstring>
 #include <dirent.h>
+#include <map>
 #include <random>
 #include <sys/wait.h>
 #include <thread>
@@ -246,6 +247,38 @@ TEST(GemmdDifferential, DegenerateCallsMatchEngineExactly) {
                           C.data(), 4);
   ASSERT_TRUE(E2);
   EXPECT_NE(E2.message().find("leading dimension"), std::string::npos);
+
+  // The typed door: K == 0 and alpha == 0 scale C in storage type exactly
+  // like Engine::gemm; the same errors fail client-side.
+  for (gemm::DType Ty : {gemm::DType::F16, gemm::DType::I8I32}) {
+    const double Beta = Ty == gemm::DType::I8I32 ? 3.0 : 0.5;
+    for (int64_t K : {0, 4}) {
+      const double Alpha = K ? 0.0 : 1.0;
+      std::vector<unsigned char> TR(4 * gemm::dtypeOutBytes(Ty));
+      for (size_t X = 0; X != TR.size(); ++X)
+        TR[X] = static_cast<unsigned char>(0x3C + X);
+      std::vector<unsigned char> TL = TR;
+      Error ER = Remote.gemm(Ty, gemm::Trans::None, gemm::Trans::None, 2, 2,
+                             K, Alpha, nullptr, 2, nullptr, 4, Beta,
+                             TR.data(), 2);
+      ASSERT_FALSE(ER) << ER.message();
+      Error EL = Local.gemm(Ty, gemm::Trans::None, gemm::Trans::None, 2, 2,
+                            K, Alpha, nullptr, 2, nullptr, 4, Beta,
+                            TL.data(), 2);
+      ASSERT_FALSE(EL) << EL.message();
+      EXPECT_EQ(0, std::memcmp(TR.data(), TL.data(), TR.size()))
+          << gemm::dtypeName(Ty) << " K=" << K;
+    }
+    std::vector<int32_t> T(16);
+    Error E3 = Remote.gemm(Ty, gemm::Trans::None, gemm::Trans::None, -1, 2,
+                           2, 1.0, nullptr, 1, nullptr, 1, 0.0, T.data(), 1);
+    ASSERT_TRUE(E3);
+    EXPECT_NE(E3.message().find("negative dimension"), std::string::npos);
+    Error E4 = Remote.gemm(Ty, gemm::Trans::None, gemm::Trans::None, 4, 2, 3,
+                           1.0, T.data(), 2, T.data(), 3, 0.0, T.data(), 4);
+    ASSERT_TRUE(E4);
+    EXPECT_NE(E4.message().find("leading dimension"), std::string::npos);
+  }
 }
 
 TEST(GemmdDifferential, OutOfProcessClientVerifies) {
@@ -339,6 +372,22 @@ TEST(GemmdBatched, DegenerateAndInvalidBatchesResolveClientSide) {
                                        Buf.data(), 8, 0, 0.0f, Buf.data(), 8,
                                        32, 2);
   ASSERT_TRUE(E);
+  // ...even when the batch is degenerate (alpha == 0): the overlap check
+  // comes first, as in the Engine, and C stays untouched.
+  std::vector<float> OR(128, 1.0f), OL(128, 1.0f);
+  Error ERo = Remote.sgemmStridedBatched(
+      gemm::Trans::None, gemm::Trans::None, 8, 8, 8, 0.0f, nullptr, 8, 0,
+      nullptr, 8, 0, 0.5f, OR.data(), 8, 32, 2);
+  Error ELo = Local.sgemmStridedBatched(
+      gemm::Trans::None, gemm::Trans::None, 8, 8, 8, 0.0f, nullptr, 8, 0,
+      nullptr, 8, 0, 0.5f, OL.data(), 8, 32, 2);
+  ASSERT_TRUE(ELo);
+  ASSERT_TRUE(ERo);
+  EXPECT_NE(ERo.message().find("StrideC (32) overlaps C items"),
+            std::string::npos)
+      << ERo.message();
+  EXPECT_EQ(0, std::memcmp(OR.data(), OL.data(), OR.size() * sizeof(float)));
+  EXPECT_EQ(1.0f, OR[32]);
 }
 
 TEST(GemmdBatched, BatchGeometryEscapingArenaRejectedNotFatal) {
@@ -534,8 +583,9 @@ TEST(GemmdAdmission, FloodGetsBusyNotUnboundedQueueing) {
   ASSERT_FALSE(S.connect(F.Opts.SocketPath, nullptr, 32 << 20));
   ASSERT_TRUE(S.admitted());
 
-  // One heavy request to occupy the worker, then a burst. With a queue of
-  // one, most of the burst must come back Busy instead of piling up.
+  // One heavy request to occupy the worker, then a burst of single and
+  // batched packets. With a queue of one, most of the burst must come back
+  // Busy instead of piling up, each answer in its request's reply type.
   auto MakeReq = [&](uint32_t Seq, int64_t Dim) {
     ipc::GemmRequestMsg Q;
     Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmRequest);
@@ -548,30 +598,62 @@ TEST(GemmdAdmission, FloodGetsBusyNotUnboundedQueueing) {
     Q.OffC = Q.OffB * 2;
     return Q;
   };
+  auto MakeBatch = [&](uint32_t Seq) {
+    ipc::GemmBatchRequestMsg Q;
+    Q.H.Type = static_cast<uint16_t>(ipc::PacketType::GemmBatchRequest);
+    Q.H.Seq = Seq;
+    Q.H.Bytes = sizeof(Q);
+    Q.M = Q.N = Q.K = 16;
+    Q.Lda = Q.Ldb = Q.Ldc = 16;
+    Q.OffB = 1024; // A and B shared across the batch (stride 0)
+    Q.OffC = 2048;
+    Q.StrideC = 256;
+    Q.BatchCount = 2;
+    return Q;
+  };
+  std::map<uint32_t, ipc::PacketType> Want; // reply type by Seq
   ipc::GemmRequestMsg Heavy = MakeReq(1, 512);
   ASSERT_FALSE(S.post(&Heavy, sizeof(Heavy)));
-  constexpr int Burst = 6;
+  Want[1] = ipc::PacketType::GemmReply;
+  constexpr int Burst = 8;
   for (int I = 0; I != Burst; ++I) {
-    ipc::GemmRequestMsg Small = MakeReq(2 + I, 16);
-    ASSERT_FALSE(S.post(&Small, sizeof(Small)));
+    const uint32_t Seq = 2 + I;
+    if (I % 2) {
+      ipc::GemmBatchRequestMsg Batch = MakeBatch(Seq);
+      ASSERT_FALSE(S.post(&Batch, sizeof(Batch)));
+      Want[Seq] = ipc::PacketType::GemmBatchReply;
+    } else {
+      ipc::GemmRequestMsg Small = MakeReq(Seq, 16);
+      ASSERT_FALSE(S.post(&Small, sizeof(Small)));
+      Want[Seq] = ipc::PacketType::GemmReply;
+    }
   }
-  int Ok = 0, Busy = 0;
+  int Ok = 0, Busy = 0, BatchBusy = 0;
   for (int I = 0; I != Burst + 1; ++I) {
-    alignas(8) unsigned char Slot[ipc::SlotBytes];
+    alignas(8) unsigned char Slot[ipc::SlotBytes] = {};
     ASSERT_FALSE(S.nextReply(Slot, 120000));
     ipc::GemmReplyMsg Rep;
     std::memcpy(&Rep, Slot, sizeof(Rep));
-    if (Rep.Status == static_cast<int32_t>(ipc::ReqStatus::Ok))
+    auto It = Want.find(Rep.H.Seq);
+    ASSERT_NE(It, Want.end()) << "unexpected or repeated reply " << Rep.H.Seq;
+    EXPECT_EQ(static_cast<uint16_t>(It->second), Rep.H.Type)
+        << "reply type does not match request " << Rep.H.Seq;
+    const bool IsBatch = It->second == ipc::PacketType::GemmBatchReply;
+    Want.erase(It);
+    if (Rep.Status == static_cast<int32_t>(ipc::ReqStatus::Ok)) {
       ++Ok;
-    else if (Rep.Status == static_cast<int32_t>(ipc::ReqStatus::Busy))
+    } else if (Rep.Status == static_cast<int32_t>(ipc::ReqStatus::Busy)) {
       ++Busy;
-    else
+      BatchBusy += IsBatch;
+    } else {
       FAIL() << "unexpected reply status " << Rep.Status;
+    }
   }
   // Every request got exactly one answer; the bounded queue shed load.
   EXPECT_EQ(Burst + 1, Ok + Busy);
-  EXPECT_GE(Ok, 1);   // at least the heavy one completed
-  EXPECT_GE(Busy, 1); // and the burst could not all queue
+  EXPECT_GE(Ok, 1);        // at least the heavy one completed
+  EXPECT_GE(Busy, 1);      // and the burst could not all queue
+  EXPECT_GE(BatchBusy, 1); // batches share the admission branch
 }
 
 TEST(GemmdAdmission, BadVersionHelloRejected) {
@@ -616,16 +698,22 @@ TEST(GemmdAdmission, MaxClientsEnforced) {
 
 /// One typed problem remotely and locally; the engine's executor is
 /// deterministic for a fixed plan, and both sides plan on the same
-/// machine, so C must match bitwise for every dtype.
+/// machine, so C must match bitwise for every dtype. Every leading
+/// dimension carries \p Slack extra rows, which the client's staging must
+/// skip on the way in and leave untouched on the way out.
 void expectTypedRoundTrip(gemm::Client &Remote, gemm::Engine &Local,
-                          gemm::DType Ty, int64_t M, int64_t N, int64_t K,
-                          double Alpha, double Beta, unsigned Seed) {
+                          gemm::DType Ty, gemm::Trans TA, gemm::Trans TB,
+                          int64_t M, int64_t N, int64_t K, double Alpha,
+                          double Beta, unsigned Seed, int64_t Slack = 0) {
   const unsigned InB = gemm::dtypeInBytes(Ty);
   const unsigned OutB = gemm::dtypeOutBytes(Ty);
-  std::vector<unsigned char> A(M * K * InB), B(K * N * InB),
-      C0(M * N * OutB);
+  const int64_t Lda = (TA == gemm::Trans::None ? M : K) + Slack;
+  const int64_t Ldb = (TB == gemm::Trans::None ? K : N) + Slack;
+  const int64_t Ldc = M + Slack;
+  std::vector<unsigned char> A(Lda * (TA == gemm::Trans::None ? K : M) * InB),
+      B(Ldb * (TB == gemm::Trans::None ? N : K) * InB), C0(Ldc * N * OutB);
   std::mt19937 Rng(Seed);
-  auto FillIn = [&](std::vector<unsigned char> &V) {
+  auto Fill = [&](std::vector<unsigned char> &V) {
     if (Ty == gemm::DType::I8I32) {
       for (unsigned char &X : V)
         X = static_cast<unsigned char>(Rng());
@@ -637,19 +725,19 @@ void expectTypedRoundTrip(gemm::Client &Remote, gemm::Engine &Local,
       H[X] = Ty == gemm::DType::F16 ? gemm::f32ToF16(D(Rng))
                                     : gemm::f32ToBf16(D(Rng));
   };
-  FillIn(A);
-  FillIn(B);
+  Fill(A);
+  Fill(B);
+  Fill(C0);
   std::vector<unsigned char> CR = C0, CL = C0;
-  Error ER = Remote.gemm(Ty, gemm::Trans::None, gemm::Trans::None, M, N, K,
-                         Alpha, A.data(), M, B.data(), K, Beta, CR.data(),
-                         M);
+  Error ER = Remote.gemm(Ty, TA, TB, M, N, K, Alpha, A.data(), Lda, B.data(),
+                         Ldb, Beta, CR.data(), Ldc);
   ASSERT_FALSE(ER) << ER.message();
-  Error EL = Local.gemm(Ty, gemm::Trans::None, gemm::Trans::None, M, N, K,
-                        Alpha, A.data(), M, B.data(), K, Beta, CL.data(),
-                        M);
+  Error EL = Local.gemm(Ty, TA, TB, M, N, K, Alpha, A.data(), Lda, B.data(),
+                        Ldb, Beta, CL.data(), Ldc);
   ASSERT_FALSE(EL) << EL.message();
   EXPECT_EQ(0, std::memcmp(CR.data(), CL.data(), CR.size()))
-      << gemm::dtypeName(Ty) << " " << M << "x" << N << "x" << K
+      << gemm::dtypeName(Ty) << " " << M << "x" << N << "x" << K << " TA="
+      << int(TA) << " TB=" << int(TB) << " slack=" << Slack
       << " diverged over the wire";
 }
 
@@ -657,12 +745,22 @@ TEST(GemmdPrecision, TypedRoundTripMatchesLocalBitwise) {
   ServerFixture F;
   gemm::Client Remote(F.clientOpts());
   gemm::Engine Local;
+  const gemm::Trans No = gemm::Trans::None, Tr = gemm::Trans::Transpose;
   unsigned Seed = 500;
   for (gemm::DType Ty :
        {gemm::DType::F16, gemm::DType::BF16, gemm::DType::I8I32}) {
-    expectTypedRoundTrip(Remote, Local, Ty, 17, 13, 19, 1.0, 0.0, Seed++);
-    expectTypedRoundTrip(Remote, Local, Ty, 40, 24, 32, 1.0,
-                         Ty == gemm::DType::I8I32 ? 2.0 : 0.0, Seed++);
+    const bool I8 = Ty == gemm::DType::I8I32;
+    expectTypedRoundTrip(Remote, Local, Ty, No, No, 17, 13, 19, 1.0, 0.0,
+                         Seed++);
+    expectTypedRoundTrip(Remote, Local, Ty, No, No, 40, 24, 32, 1.0,
+                         I8 ? 2.0 : 0.0, Seed++);
+    // Every transpose pair, with slack in every leading dimension and a
+    // non-trivial alpha/beta.
+    for (gemm::Trans TA : {No, Tr})
+      for (gemm::Trans TB : {No, Tr})
+        expectTypedRoundTrip(Remote, Local, Ty, TA, TB, 21, 11, 15,
+                             I8 ? 3.0 : 1.5, I8 ? -1.0 : 0.5, Seed++,
+                             /*Slack=*/3);
   }
 }
 
@@ -680,6 +778,13 @@ TEST(GemmdPrecision, ClientRejectsUnrepresentableScalesLocally) {
   EXPECT_TRUE(bool(Remote.gemm(gemm::DType::F16, gemm::Trans::None,
                                gemm::Trans::None, 4, 4, 4, 1.0000000001,
                                Ah.data(), 4, Bh.data(), 4, 0.0, Ch.data(),
+                               4)));
+  // One rule for every dtype: the f32 door refuses the same scale rather
+  // than rounding it.
+  std::vector<float> Af(16, 0.0f), Bf(16, 0.0f), Cf(16, 0.0f);
+  EXPECT_TRUE(bool(Remote.gemm(gemm::DType::F32, gemm::Trans::None,
+                               gemm::Trans::None, 4, 4, 4, 1.0000000001,
+                               Af.data(), 4, Bf.data(), 4, 0.0, Cf.data(),
                                4)));
 }
 
