@@ -11,7 +11,7 @@
 #include "ipc/Shm.h"
 #include "ipc/Socket.h"
 #include "obs/Obs.h"
-#include "ukr/KernelService.h"
+#include "ukr/KernelRegistry.h"
 
 #include <atomic>
 #include <chrono>

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The long-lived server behind `tools/gemmd`: ONE gemm::Engine (one warm
-/// plan cache), ONE KernelService/JIT cache, ONE thread pool — shared by
+/// plan cache), ONE kernel/JIT cache, ONE thread pool — shared by
 /// every client process, so the expensive last-mile work (planning, JIT
 /// compiling, pool spin-up) is paid once per machine instead of once per
 /// process. Transport is the src/ipc layer: a Unix-domain rendezvous
@@ -25,7 +25,7 @@
 ///      are answered Busy immediately instead of queuing unboundedly.
 ///      --max-clients bounds sessions the same way.
 ///   3. OBSERVABILITY. Per-client and aggregate counters (requests, ok,
-///      errors, busy, reaps) plus the Engine/KernelService cache counters,
+///      errors, busy, reaps) plus the Engine and kernel-cache counters,
 ///      all served over the wire (StatsRequest) and as JSON; gemmd.* obs
 ///      spans mark the request path.
 ///

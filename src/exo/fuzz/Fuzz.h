@@ -16,7 +16,7 @@
 ///   1. interp:  the rewritten IR, evaluated by the reference interpreter,
 ///               equals the unscheduled spec on random inputs (bitwise —
 ///               integer-valued data keeps float math exact).
-///   2. jit:     the emitted C, JIT-compiled through the KernelService /
+///   2. jit:     the emitted C, JIT-compiled through the KernelCache /
 ///               DiskCache path, matches the interpreter bit-for-bit on
 ///               integer-valued inputs and to tight tolerances on random
 ///               float inputs.
@@ -229,7 +229,7 @@ public:
   FuzzSample draw();
 
   /// Runs the whole campaign: draws Iterations samples, prefetches their
-  /// kernels through the KernelService worker pool, then runs the oracle
+  /// kernels through the kernel cache's workers, then runs the oracle
   /// battery on each. Stops at the first failure.
   std::optional<FuzzFailure> run();
 

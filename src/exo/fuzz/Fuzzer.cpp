@@ -5,7 +5,7 @@
 // validated against the evolving proc at draw time (a rejected candidate is
 // simply not recorded), so two fuzzers with equal options produce identical
 // campaigns. run() draws everything up front, prefetches every kernel the
-// oracles will need through the KernelService worker pool (compilations
+// oracles will need through the kernel cache's workers (compilations
 // overlap instead of serializing on first use), then runs the battery.
 //
 //===----------------------------------------------------------------------===//
@@ -16,7 +16,7 @@
 #include "exo/ir/Rewrite.h"
 #include "exo/isa/IsaLib.h"
 #include "gemm/PriorDb.h"
-#include "ukr/KernelService.h"
+#include "ukr/KernelRegistry.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -221,8 +221,8 @@ struct ScheduleFuzzer::Impl {
     return Rng() % 4 == 0 ? drawRecipe(S) : drawChain(S);
   }
 
-  /// Queues every kernel build the oracles will request so the service
-  /// workers compile them concurrently.
+  /// Queues every kernel build the oracles will request so the kernel
+  /// cache's prefetch workers compile them concurrently.
   void prefetch(const FuzzSample &S) {
     if (S.Ty != "f32")
       return;
@@ -231,7 +231,7 @@ struct ScheduleFuzzer::Impl {
       Expected<ukr::UkrConfig> Cfg =
           detail::sampleUkrConfig(S, Isa, Style, UnrollLoads);
       if (Cfg && (!Cfg->Isa || Cfg->Isa->hostExecutable()))
-        ukr::KernelService::global().prefetch(*Cfg);
+        ukr::KernelCache::global().prefetch(*Cfg);
     };
     if (S.M == FuzzSample::Mode::Recipe && O.Oracle.CheckJit)
       Queue(S.Isa, S.Style, S.UnrollLoads);
@@ -281,10 +281,10 @@ std::optional<FuzzFailure> ScheduleFuzzer::run() {
     if (E) {
       // Drain the prefetch queue before handing control back: builds still
       // in flight must not outlive the caller (static teardown order).
-      ukr::KernelService::global().wait();
+      ukr::KernelCache::global().wait();
       return FuzzFailure{Samples[K], E.message(), OO};
     }
   }
-  ukr::KernelService::global().wait();
+  ukr::KernelCache::global().wait();
   return std::nullopt;
 }

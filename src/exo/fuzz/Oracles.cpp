@@ -3,7 +3,7 @@
 // Oracle 1 (interp):  scheduled IR == unscheduled spec under the reference
 //                     interpreter, bitwise on integer-valued inputs, both at
 //                     the sample's exact shape and on random shapes.
-// Oracle 2 (jit):     the emitted C, JIT-compiled through the KernelService /
+// Oracle 2 (jit):     the emitted C, JIT-compiled through the KernelCache /
 //                     DiskCache path, matches the interpreter bit-for-bit on
 //                     integer inputs and to tight tolerances on float inputs;
 //                     bytes in the ldc slack region must be untouched.
@@ -26,7 +26,7 @@
 #include "gemm/ExoProvider.h"
 #include "gemm/Gemm.h"
 #include "gemm/RefGemm.h"
-#include "ukr/KernelService.h"
+#include "ukr/KernelRegistry.h"
 
 #include <cmath>
 #include <cstring>
@@ -268,7 +268,7 @@ Error fuzz::runOracles(const FuzzSample &S, const OracleOptions &O,
   bool HostRunnable =
       S.Ty == "f32" && (!A->Isa || A->Isa->hostExecutable()) && jitAvailable();
 
-  // --- Oracle 2: JIT through the KernelService / DiskCache path --------
+  // --- Oracle 2: JIT through the KernelCache / DiskCache path ----------
   if (O.CheckJit && HostRunnable) {
     ukr::MicroKernelF32 Fn = nullptr;
     ukr::MicroKernelAxpbyF32 FnAxpby = nullptr;
@@ -280,7 +280,7 @@ Error fuzz::runOracles(const FuzzSample &S, const OracleOptions &O,
           detail::sampleUkrConfig(S, S.Isa, S.Style, S.UnrollLoads);
       if (!Cfg)
         return errorf("jit oracle: %s", Cfg.message().c_str());
-      Expected<const ukr::Kernel *> K = ukr::KernelService::global().get(*Cfg);
+      Expected<const ukr::Kernel *> K = ukr::KernelCache::global().get(*Cfg);
       if (!K) // applySample accepted the recipe, so a build must succeed
         return errorf("jit oracle: kernel build failed: %s",
                       K.message().c_str());
@@ -338,7 +338,7 @@ Error fuzz::runOracles(const FuzzSample &S, const OracleOptions &O,
         continue;
       if (Cfg->Isa && !Cfg->Isa->hostExecutable())
         continue;
-      Expected<const ukr::Kernel *> K = ukr::KernelService::global().get(*Cfg);
+      Expected<const ukr::Kernel *> K = ukr::KernelCache::global().get(*Cfg);
       if (!K)
         continue; // shape inconsistent for this library: rejected
       const ukr::Kernel *KP = K.take();

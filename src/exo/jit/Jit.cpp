@@ -172,7 +172,7 @@ Expected<JitKernelPtr> exo::jitCompile(const std::string &CSource,
     SoPath = Stem + ".so";
   }
 
-  // The compiler runs unlocked so KernelService workers overlap distinct
+  // The compiler runs unlocked so kernel-cache builds overlap distinct
   // compilations; the re-lock below re-checks the cache in case another
   // thread compiled the same key meanwhile.
   {

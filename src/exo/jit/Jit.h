@@ -61,7 +61,7 @@ Expected<JitKernelPtr> jitCompile(const std::string &CSource,
 bool jitAvailable();
 
 /// Process-wide JIT counters; the building blocks of the kernel-cache
-/// observability layer (ukr::CacheStats aggregates these per service).
+/// observability layer (ukr::CacheStats aggregates these per cache).
 struct JitStats {
   uint64_t MemHits = 0;         ///< served from the in-process map
   uint64_t DiskHits = 0;        ///< loaded from the persistent cache

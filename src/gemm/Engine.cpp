@@ -9,7 +9,6 @@
 #include "gemm/Kernels.h"
 #include "gemm/ThreadPool.h"
 #include "obs/Obs.h"
-#include "ukr/KernelService.h"
 
 #include <atomic>
 #include <cmath>
@@ -44,20 +43,14 @@ struct PlanKey {
 
 /// A resolved, immutable-after-publish execution plan plus its workspace
 /// pool. Geometry and edge kernels are never mutated once the plan is
-/// visible to other threads; provisional plans are *replaced*, not edited,
-/// so in-flight executions keep a consistent snapshot via their shared_ptr.
+/// visible to other threads; an evicted plan stays alive for in-flight
+/// executions through their shared_ptr.
 struct ExecPlan {
   detail::GemmGeometry G;
   std::vector<std::optional<MicroKernel>> Edges;
   std::shared_ptr<KernelProvider> Provider;
   PlanChoice Choice;
   GemmPlan Legacy;
-  /// Built over an async provider's portable fallback; re-resolved after
-  /// RebuildPeriod further calls in the hope the specialized kernels have
-  /// landed.
-  bool Provisional = false;
-  std::atomic<uint64_t> Calls{0};
-  std::atomic<bool> Rebuilding{false};
 
   /// Pooled workspaces, bounded by the reserved capacity so release()
   /// never reallocates the vector (zero-allocation steady state).
@@ -88,7 +81,6 @@ struct ExecPlan {
   }
 };
 
-constexpr uint64_t RebuildPeriod = 32;
 constexpr size_t WorkspacePoolCap = 16;
 
 struct CacheEntry {
@@ -129,8 +121,8 @@ struct Engine::Impl {
       ExoProvs;
 
   std::atomic<uint64_t> Tick{0};
-  std::atomic<uint64_t> Hits{0}, Misses{0}, Builds{0}, Rebuilds{0},
-      Evictions{0}, Degenerate{0}, StickyErrors{0};
+  std::atomic<uint64_t> Hits{0}, Misses{0}, Builds{0}, Evictions{0},
+      Degenerate{0}, StickyErrors{0};
   std::atomic<uint64_t> BatchedItems{0}, BatchedGroups{0},
       BatchedCrossItem{0};
   std::atomic<uint64_t> PlansFromModel{0}, PlansFromTuned{0},
@@ -180,7 +172,6 @@ struct Engine::Impl {
     if (It != ExoProvs.end())
       return It->second;
     auto P = std::make_shared<ExoProvider>(MR, NR, Cfg.Isa, UnrollCompute);
-    P->setAsync(Cfg.Async);
     P->setSpecializeEdges(Cfg.SpecializeEdges);
     ExoProvs.emplace(std::make_pair(MR, NR | UnrollTag), P);
     return P;
@@ -204,8 +195,6 @@ struct Engine::Impl {
   Expected<std::shared_ptr<ExecPlan>> build(const PlanKey &Key);
   std::shared_ptr<ExecPlan> lookupOrBuild(const PlanKey &Key, Error &Err);
   void evictLocked(const PlanKey *Keep = nullptr);
-  void maybeRebuild(const PlanKey &Key,
-                    const std::shared_ptr<ExecPlan> &Old);
 };
 
 Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
@@ -296,18 +285,11 @@ Expected<std::shared_ptr<ExecPlan>> Engine::Impl::build(const PlanKey &Key) {
   P->G.Ty = Ty;
   if (Ty == DType::F32) {
     detail::resolveEdgeKernels(*P->Provider, P->G, Key.N, P->Edges);
-    bool EdgeFallback = false;
-    for (const std::optional<MicroKernel> &E : P->Edges)
-      if (E && E->IsFallback)
-        EdgeFallback = true;
-    P->Provisional =
-        Cfg.Async && (Main.IsFallback || EdgeFallback || P->G.NeedBPad);
   } else {
     // Non-f32 plans run through the scratch tile over always zero-padded
     // panels; specialized edge kernels never dispatch, so none are
     // resolved or JIT'd.
     P->G.PackMode = EdgePack::ZeroPad;
-    P->Provisional = Cfg.Async && Main.IsFallback;
   }
   P->Pool.reserve(WorkspacePoolCap);
   P->Pool.push_back(P->acquire());
@@ -410,25 +392,6 @@ std::shared_ptr<ExecPlan> Engine::Impl::lookupOrBuild(const PlanKey &Key,
   evictLocked(&Key);
   Cv.notify_all();
   return Ret;
-}
-
-void Engine::Impl::maybeRebuild(const PlanKey &Key,
-                                const std::shared_ptr<ExecPlan> &Old) {
-  bool Claim = false;
-  if (!Old->Rebuilding.compare_exchange_strong(Claim, true))
-    return; // another caller is already re-resolving this plan
-  Expected<std::shared_ptr<ExecPlan>> Built = build(Key);
-  if (Built) {
-    std::unique_lock<std::shared_mutex> UL(Mu);
-    auto It = Cache.find(Key);
-    if (It != Cache.end() && It->second.Plan == Old) {
-      It->second.Plan = Built.take();
-      Rebuilds.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  // A failed rebuild keeps serving the provisional plan; the next period
-  // retries.
-  Old->Rebuilding.store(false);
 }
 
 Expected<std::shared_ptr<ExecPlan>> Engine::Impl::plan(const PlanKey &Key) {
@@ -555,12 +518,6 @@ Error Engine::gemm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
   if (!Planned)
     return Planned.takeError();
   ExecPlan &Plan = **Planned;
-  if (Plan.Provisional &&
-      (Plan.Calls.fetch_add(1, std::memory_order_relaxed) + 1) %
-              RebuildPeriod ==
-          0)
-    I->maybeRebuild(Key, *Planned);
-
   std::unique_ptr<detail::GemmWorkspace> WS = Plan.acquire();
   I->execute(Plan, Call, *WS,
              I->governorOn() && !ThreadPool::global().inParallel());
@@ -603,7 +560,7 @@ void runBatchItems(void *Ctx, int64_t Tid) {
 }
 
 /// Max items per cross-item dispatch: chunking bounds the per-batch index
-/// array and lets provisional-plan rebuilds land mid-batch on huge batches.
+/// array.
 int64_t batchGroupMax() {
   return exo::envInt("EXO_GEMM_BATCH_GROUP_MAX",
                      std::getenv("EXO_GEMM_BATCH_GROUP_MAX"),
@@ -671,16 +628,6 @@ Error Engine::sgemmBatched(const GemmBatchItem *Items, int64_t Count) {
       return Planned.takeError();
     const std::shared_ptr<ExecPlan> &Plan = *Planned;
     I->BatchedGroups.fetch_add(1, std::memory_order_relaxed);
-
-    if (Plan->Provisional) {
-      // Credit the whole group; rebuild when the count crosses a period
-      // boundary (the batched analogue of sgemm's per-call check).
-      uint64_t Before = Plan->Calls.fetch_add(
-          static_cast<uint64_t>(GroupItems), std::memory_order_relaxed);
-      if (Before / RebuildPeriod !=
-          (Before + static_cast<uint64_t>(GroupItems)) / RebuildPeriod)
-        I->maybeRebuild(Key, Plan);
-    }
 
     if (!Cross) {
       // Intra-item slab parallelism: the gemm execution body, amortizing
@@ -791,48 +738,14 @@ Expected<PlanChoice> Engine::planFor(Trans TA, Trans TB, int64_t M,
 }
 
 Error Engine::warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                   int64_t K, bool Wait) {
+                   int64_t K) {
   if (M <= 0 || N <= 0 || K <= 0)
     return Error::success(); // degenerate shapes never plan
+  // Building the plan resolves every kernel it dispatches (main tile plus
+  // the edge widths this N needs) through ukr::KernelCache.
   Expected<std::shared_ptr<ExecPlan>> Plan =
       I->plan(I->key(Ty, TA, TB, M, N, K, I->plannedThreads()));
-  if (!Plan)
-    return Plan.takeError();
-  if (Ty == DType::I8I32)
-    return Error::success(); // built-in scalar dot: nothing to precompile
-  const PlanChoice &Choice = (*Plan)->Choice;
-  const bool WantExo = I->Cfg.Series == EngineSeries::Exo ||
-                       (I->Cfg.Series == EngineSeries::Auto &&
-                        Choice.Src != PlanSource::Fallback);
-  if (!WantExo)
-    return Error::success(); // fixed kernels have nothing to precompile
-  // Prefetch the plan's whole kernel family (main + the edge widths this
-  // problem dispatches) so the disk cache serves every later process. The
-  // plan's resolved geometry — not the host cache model — supplies NC, so
-  // an EngineConfig::Blocks override prefetches the edges it will use.
-  // F16/BF16 plans never dispatch edge kernels: only their main config
-  // prefetches.
-  const exo::IsaLib *PIsa =
-      I->Cfg.Isa ? I->Cfg.Isa : ukr::bestIsaForMr(Choice.MR);
-  std::vector<ukr::UkrConfig> Family;
-  Family.push_back(
-      ukr::shapeConfig(Choice.MR, Choice.NR, PIsa, I->Cfg.UnrollCompute));
-  if (Ty == DType::F32) {
-    const int64_t Nc = std::max<int64_t>((*Plan)->G.Nc, 1);
-    std::vector<bool> Seen(static_cast<size_t>(Choice.NR), false);
-    for (int64_t Jc = 0; Jc < N; Jc += Nc) {
-      int64_t W = std::min(Nc, N - Jc) % Choice.NR;
-      if (W == 0 || Seen[W])
-        continue;
-      Seen[W] = true;
-      Family.push_back(
-          ukr::shapeConfig(Choice.MR, W, PIsa, I->Cfg.UnrollCompute));
-    }
-  }
-  ukr::KernelService::global().prefetchBatch(Family);
-  if (Wait)
-    ukr::KernelService::global().wait();
-  return Error::success();
+  return Plan ? Error::success() : Plan.takeError();
 }
 
 void Engine::clearPlanCache() {
@@ -859,7 +772,6 @@ EngineStats Engine::stats() const {
   S.Hits = I->Hits.load(std::memory_order_relaxed);
   S.Misses = I->Misses.load(std::memory_order_relaxed);
   S.Builds = I->Builds.load(std::memory_order_relaxed);
-  S.Rebuilds = I->Rebuilds.load(std::memory_order_relaxed);
   S.Evictions = I->Evictions.load(std::memory_order_relaxed);
   S.Degenerate = I->Degenerate.load(std::memory_order_relaxed);
   S.StickyErrors = I->StickyErrors.load(std::memory_order_relaxed);
@@ -888,7 +800,6 @@ void Engine::resetStats() {
   I->Hits.store(0);
   I->Misses.store(0);
   I->Builds.store(0);
-  I->Rebuilds.store(0);
   I->Evictions.store(0);
   I->Degenerate.store(0);
   I->StickyErrors.store(0);

@@ -71,10 +71,6 @@ struct EngineConfig {
   int64_t ForceMR = 0, ForceNR = 0;
   /// GemmPlan::Threads semantics: 0 resolves EXO_GEMM_THREADS per call.
   int64_t Threads = 0;
-  /// Request kernels through KernelService's non-blocking path: cold
-  /// shapes run the portable fallback while the specialized kernel
-  /// compiles, and their provisional plans re-resolve once it lands.
-  bool Async = false;
   bool SpecializeEdges = true;
   bool UnrollCompute = false;
   /// Ablation overrides; unset uses the analytical model / edge probe
@@ -104,7 +100,6 @@ struct EngineStats {
   uint64_t Hits = 0;       ///< calls served by a cached plan
   uint64_t Misses = 0;     ///< calls that had to build (or wait for) a plan
   uint64_t Builds = 0;     ///< plans built (exactly one per cached key)
-  uint64_t Rebuilds = 0;   ///< provisional plans re-resolved after warm-up
   uint64_t Evictions = 0;  ///< plans dropped by the cache cap
   uint64_t Degenerate = 0; ///< calls answered by the quick return
   uint64_t StickyErrors = 0; ///< sticky build failures recorded in the cache
@@ -229,18 +224,17 @@ public:
                                  float *C, int64_t Ldc, int64_t StrideC,
                                  int64_t BatchCount);
 
-  /// Builds (and caches) the plan for a shape ahead of traffic and
-  /// prefetches its kernel family through KernelService (for f16/bf16 the
-  /// main kernel only; i8 has nothing to compile). \p Wait blocks until
-  /// the background builds resolve, so the next call runs fully
-  /// specialized — the `ukr_cachectl warm --shape/--model [--dtype]` path.
+  /// Builds and caches the plan for a shape ahead of traffic. The plan
+  /// build resolves every kernel the plan dispatches (for f32 the main
+  /// tile and the edge widths this shape needs; for f16/bf16 the main
+  /// kernel; i8 compiles nothing) through ukr::KernelCache, so the next
+  /// call on the shape builds neither a plan nor a kernel.
   exo::Error warm(DType Ty, Trans TA, Trans TB, int64_t M, int64_t N,
-                  int64_t K, bool Wait = true);
+                  int64_t K);
 
   /// f32 warm-up.
-  exo::Error warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K,
-                  bool Wait = true) {
-    return warm(DType::F32, TA, TB, M, N, K, Wait);
+  exo::Error warm(Trans TA, Trans TB, int64_t M, int64_t N, int64_t K) {
+    return warm(DType::F32, TA, TB, M, N, K);
   }
 
   /// Tile + provider the cached (or freshly built) plan for this shape

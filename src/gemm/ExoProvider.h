@@ -7,10 +7,10 @@
 /// \file
 /// The "EXO" series: the full tile runs a generated MR x NR kernel, and
 /// every edge shape gets its own specialized generated kernel (paper §III-B
-/// — "all we need to do is change the values for MR and NR"), produced on
-/// demand by the ukr kernel cache. The ISA per shape is chosen as the widest
-/// host vector width dividing the tile's MR, falling back to a scalar
-/// kernel (the paper's 1xNR cases).
+/// — "all we need to do is change the values for MR and NR"), built on
+/// demand, on the calling thread, by ukr::KernelCache. The ISA per shape is
+/// chosen as the widest host vector width dividing the tile's MR, falling
+/// back to a scalar kernel (the paper's 1xNR cases).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,6 @@
 
 #include "gemm/MicroKernel.h"
 #include "ukr/KernelRegistry.h"
-#include "ukr/KernelService.h"
 
 #include <map>
 #include <mutex>
@@ -46,14 +45,6 @@ public:
   /// like the monolithic baselines.
   void setSpecializeEdges(bool On) { SpecializeEdges = On; }
 
-  /// Async mode: kernels are requested through KernelService::global()'s
-  /// non-blocking tryGet(), so a first call over a cold shape never stalls
-  /// on the compiler — it runs the portable reference micro-kernel while
-  /// the specialized one compiles in the background, and picks the
-  /// specialized one up on a later call. Serving-path mode: first-request
-  /// latency stays flat at the cost of slower warm-up iterations.
-  void setAsync(bool On) { Async = On; }
-
   /// Picks the micro-kernel shape for an (m, n) problem — the paper's
   /// "matching the size of the micro-kernel to the problem" (§IV-B uses
   /// 8x4 / 8x8 for different square sizes). The heuristic scores each
@@ -72,14 +63,13 @@ private:
   const exo::IsaLib *Isa;
   bool UnrollCompute;
   bool SpecializeEdges = true;
-  bool Async = false;
   /// Per-provider memo of resolved shapes: the macro-kernel asks for the
   /// same edge kernel once per tile, and the global registry lookup (name
   /// formatting + mutex) would otherwise dominate small tiles. Guarded by
   /// Mu: one provider may serve concurrent GEMM calls (the threaded
   /// macro-kernel pre-resolves on the calling thread, but callers also
-  /// share providers across their own threads). KernelService and
-  /// KernelCache are internally locked; this memo was the remaining race.
+  /// share providers across their own threads). KernelCache is internally
+  /// locked; this memo was the remaining race.
   std::mutex Mu;
   std::map<std::pair<int64_t, int64_t>, std::optional<MicroKernel>>
       ShapeCache;

@@ -17,11 +17,13 @@ GemmPlan GemmPlan::standard(KernelProvider &P) {
   GemmPlan Plan;
   Plan.Blocks =
       analyticalBlockSizes(CacheConfig::host(), K.MR, K.NR, sizeof(float));
+  // Probe with the full-width shape, which main() has already built: a
+  // narrower probe would build a kernel only a remainder strip can use.
   // The probe only picks the *preferred* mode; a provider whose edge family
   // turns out to be partial at run time degrades per-strip to the re-padded
   // scratch path inside the executor instead of failing (see executeGemm).
-  Plan.PackMode = P.edge(K.MR, 1).has_value() ? EdgePack::Tight
-                                              : EdgePack::ZeroPad;
+  Plan.PackMode = P.edge(K.MR, K.NR).has_value() ? EdgePack::Tight
+                                                 : EdgePack::ZeroPad;
   return Plan;
 }
 
@@ -76,8 +78,8 @@ void detail::resolveEdgeKernels(
   // team must never call into the provider (whose kernel cache may invoke
   // the JIT), and a fixed kernel per width keeps one GEMM call bitwise
   // invariant under the thread count. A width whose specialized kernel is
-  // unavailable (partial edge family, or an async provider still
-  // compiling) stays nullopt and takes the re-padded scratch path.
+  // unavailable (partial edge family, or a failed build) stays nullopt and
+  // takes the re-padded scratch path.
   Storage.assign(static_cast<size_t>(G.Nr), std::nullopt);
   G.NeedBPad = false;
   if (G.PackMode == EdgePack::Tight) {

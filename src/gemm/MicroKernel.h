@@ -12,7 +12,7 @@
 ///   - FixedProvider(hand kernel):   "NEON"/"BLIS" series — one monolithic
 ///     kernel; edge tiles go through a zero-padded scratch tile.
 ///   - ExoProvider:                  "EXO" series — a generated kernel per
-///     (mr_eff, nr_eff) shape, built on demand by the ukr registry.
+///     (mr_eff, nr_eff) shape, built on demand by ukr::KernelCache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,10 +34,6 @@ struct MicroKernel {
   int64_t NR = 0;
   KernelFn Fn = nullptr;
   const char *Name = "";
-  /// True when Fn is the portable stand-in an async provider hands out
-  /// while the specialized kernel compiles; the Engine marks plans built
-  /// over fallbacks provisional and re-resolves them once warm.
-  bool IsFallback = false;
 };
 
 /// See file comment.

@@ -137,8 +137,8 @@ inline constexpr int64_t I8TileMR = 8, I8TileNR = 8;
 
 /// Every kernel config a plan for (m, n, k) can dispatch: the chosen full
 /// tile plus the specialized edge shapes the five-loop driver will request
-/// for this problem's partial strips and short rows. What plan warm-up
-/// (Engine::warm, `ukr_cachectl warm --shape/--model`) precompiles.
+/// for this problem's partial strips and short rows. What
+/// `ukr_cachectl warm --shape/--model` precompiles.
 ///
 /// Non-f32 dtypes never use specialized edge kernels, so their families
 /// are a single config: f16/bf16 the f32 main tile actually executed over

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Test binaries that can reach the JIT (directly or through KernelService /
+/// Test binaries that can reach the JIT (directly or through KernelCache /
 /// ExoProvider) must never read or publish artifacts in the developer's real
 /// cache (~/.cache/exo-ukr): a stale artifact there can mask a codegen
 /// regression, and test runs would pollute it with throwaway kernels.

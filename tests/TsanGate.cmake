@@ -1,7 +1,7 @@
 # Invoked by the tsan_gate ctest (see tests/CMakeLists.txt): configures and
 # builds a nested TSan-instrumented tree, then runs the concurrency-
 # sensitive tests — the parallel macro-kernel (GemmTest with an 8-thread
-# team), the kernel-cache service, and the gemmd daemon suite (poller +
+# team), the kernel cache, and the gemmd daemon suite (poller +
 # executors + cross-process rings) — failing on any data-race report.
 #
 # Variables: SRC (source root), BIN (nested binary dir).
@@ -28,10 +28,10 @@ if(NOT RC EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND ${BIN}/tests/ukr_test --gtest_filter=KernelService*
+  COMMAND ${BIN}/tests/ukr_test --gtest_filter=KernelCacheTest*
   RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)
-  message(FATAL_ERROR "tsan_gate: ukr_test (KernelService) failed under TSan")
+  message(FATAL_ERROR "tsan_gate: ukr_test (KernelCacheTest) failed under TSan")
 endif()
 
 # The daemon exercises poller/executor/reaper concurrency plus the shm

@@ -212,6 +212,46 @@ TEST(EnginePlanCache, DisabledCachePlansPerCall) {
   EXPECT_EQ(E.stats().Builds, 3u); // every call re-plans
 }
 
+TEST(EnginePlanCache, WarmLeavesNothingToBuildForTheFirstCall) {
+  if (!exo::jitAvailable())
+    GTEST_SKIP();
+  // N = 203 leaves a partial strip, so the plan dispatches an edge kernel
+  // besides the main tile.
+  const int64_t M = 200, N = 203, K = 64;
+  EngineConfig Cfg;
+  Cfg.Series = EngineSeries::Exo;
+  Cfg.Threads = 1;
+  Cfg.PlanCache = 1;
+  Engine E(Cfg);
+  ukr::KernelCache &Kernels = ukr::KernelCache::global();
+  auto JitRequests = [] {
+    const exo::JitStats S = exo::jitStats();
+    return S.Compiles + S.DiskHits + S.MemHits;
+  };
+
+  const uint64_t Jit0 = JitRequests();
+  const size_t Kernels0 = Kernels.size();
+  exo::Error Err = E.warm(Trans::None, Trans::None, M, N, K);
+  ASSERT_FALSE(static_cast<bool>(Err)) << Err.message();
+  EXPECT_EQ(E.stats().Builds, 1u);
+  // Every kernel warm asked the JIT for is a new entry of the one kernel
+  // cache: no config was built twice.
+  const uint64_t Jit1 = JitRequests();
+  const size_t Kernels1 = Kernels.size();
+  EXPECT_EQ(Jit1 - Jit0, Kernels1 - Kernels0);
+
+  std::vector<float> A(M * K), B(K * N), C(M * N, 0.f);
+  benchutil::fillRandom(A.data(), A.size(), 1);
+  benchutil::fillRandom(B.data(), B.size(), 2);
+  ASSERT_FALSE(static_cast<bool>(E.sgemm(M, N, K, 1.f, A.data(), M, B.data(),
+                                         K, 0.f, C.data(), M)));
+  EngineStats St = E.stats();
+  EXPECT_EQ(St.Builds, 1u); // the warmed plan, no new one
+  EXPECT_EQ(St.Hits, 1u);
+  EXPECT_EQ(Kernels.size(), Kernels1);
+  EXPECT_EQ(JitRequests(), Jit1);
+}
+
 TEST(EnginePlanner, ForcedTileWinsAndIsReported) {
   // Forcing only makes sense for planner-driven series (Exo/Auto); fixed
   // kernel series always report "fixed" because their kernel is the tile.

@@ -282,7 +282,7 @@ TEST(GemmDriverTest, PartialEdgeFamilyDegradesGracefully) {
   ExoProvider Exo(8, 12, &exo::avx2Isa());
   PartialEdgeProvider P(Exo, /*DenyNr=*/3);
   GemmPlan Plan = GemmPlan::standard(P);
-  ASSERT_EQ(Plan.PackMode, EdgePack::Tight); // nr=1 probe still succeeds
+  ASSERT_EQ(Plan.PackMode, EdgePack::Tight); // full-width probe succeeds
 
   const int64_t M = 20, N = 27, K = 33; // N % 12 == 3: the denied width
   std::vector<float> A(M * K), B(K * N), C(M * N, 0.5f);

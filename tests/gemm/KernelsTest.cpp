@@ -12,14 +12,19 @@ using namespace gemm;
 
 namespace {
 
-class BaselineKernelTest : public testing::TestWithParam<MicroKernel> {};
+struct BaselineCase {
+  MicroKernel Kernel;
+  const char *Label;
+};
+
+class BaselineKernelTest : public testing::TestWithParam<BaselineCase> {};
 
 } // namespace
 
 TEST_P(BaselineKernelTest, MatchesNaiveUpdate) {
   if (!baselineKernelsUsable())
     GTEST_SKIP() << "host lacks AVX2+FMA";
-  MicroKernel K = GetParam();
+  MicroKernel K = GetParam().Kernel;
   ASSERT_EQ(K.MR, 8);
   ASSERT_EQ(K.NR, 12);
 
@@ -42,22 +47,17 @@ TEST_P(BaselineKernelTest, MatchesNaiveUpdate) {
 TEST_P(BaselineKernelTest, KcZeroIsIdentity) {
   if (!baselineKernelsUsable())
     GTEST_SKIP();
-  MicroKernel K = GetParam();
+  MicroKernel K = GetParam().Kernel;
   std::vector<float> Ac(8), Bc(12), C(12 * 8, 3.0f), Want = C;
   K.Fn(0, 8, Ac.data(), Bc.data(), C.data());
   EXPECT_EQ(C, Want);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBaselines, BaselineKernelTest,
-                         testing::Values(handVectorKernel(), blisKernel(),
-                                         blisKernelPrefetch()),
-                         [](const testing::TestParamInfo<MicroKernel> &I) {
-                           switch (I.index) {
-                           case 0:
-                             return std::string("hand_vector");
-                           case 1:
-                             return std::string("blis_style");
-                           default:
-                             return std::string("blis_prefetch");
-                           }
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllBaselines, BaselineKernelTest,
+    testing::Values(BaselineCase{handVectorKernel(), "hand_vector"},
+                    BaselineCase{blisKernel(), "blis_style"},
+                    BaselineCase{blisKernelPrefetch(), "blis_prefetch"}),
+    [](const testing::TestParamInfo<BaselineCase> &I) {
+      return std::string(I.param.Label);
+    });

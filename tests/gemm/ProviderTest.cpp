@@ -66,36 +66,3 @@ TEST(FixedProviderTest, NeverSpecializes) {
   EXPECT_EQ(P.main().MR, 8);
   EXPECT_STREQ(P.name(), "blis");
 }
-
-TEST(ExoProviderTest, AsyncModeFallsBackThenPicksUpSpecialized) {
-  // An unusual shape so the global service cannot already have it ready.
-  ExoProvider P(8, 10, &exo::avx2Isa());
-  P.setAsync(true);
-
-  // Cold service: main() must answer instantly with the portable stand-in
-  // while the background build runs.
-  MicroKernel First = P.main();
-  ASSERT_NE(First.Fn, nullptr);
-  EXPECT_STREQ(First.Name, "exo fallback (compiling)");
-
-  // Once the service has drained, the same provider hands out the
-  // specialized kernel (the fallback answer is not memoized).
-  ukr::KernelService::global().wait();
-  MicroKernel Second = P.main();
-  ASSERT_NE(Second.Fn, nullptr);
-  EXPECT_STREQ(Second.Name, "exo generated");
-  EXPECT_NE(Second.Fn, First.Fn);
-
-  // Both answers compute the same (correct) tile update.
-  const int64_t KC = 7, Ldc = 9;
-  std::vector<float> Ac(KC * 8), Bc(KC * 10);
-  for (size_t I = 0; I < Ac.size(); ++I)
-    Ac[I] = static_cast<float>(I % 13) * 0.25f;
-  for (size_t I = 0; I < Bc.size(); ++I)
-    Bc[I] = static_cast<float>(I % 11) * 0.5f;
-  std::vector<float> C1(9 * Ldc + 8, 1.0f), C2 = C1;
-  First.Fn(KC, Ldc, Ac.data(), Bc.data(), C1.data());
-  Second.Fn(KC, Ldc, Ac.data(), Bc.data(), C2.data());
-  for (size_t I = 0; I != C1.size(); ++I)
-    ASSERT_NEAR(C1[I], C2[I], 1e-4f) << I;
-}

@@ -18,9 +18,9 @@
 //   ukr_cachectl stats                one-shot counter dump: the global
 //                                     Engine plan cache (hits, misses,
 //                                     builds, evictions, sticky errors),
-//                                     the KernelService JIT cache, and the
-//                                     disk cache footprint; --json emits a
-//                                     machine-readable object
+//                                     the kernel cache's JIT counters, and
+//                                     the disk cache footprint; --json
+//                                     emits a machine-readable object
 //   ukr_cachectl tune                 search the schedule space for each
 //                                     --shape/--model problem and persist
 //                                     winners into the tuning-prior
@@ -65,7 +65,7 @@
 #include "gemm/Planner.h"
 #include "gemm/PriorDb.h"
 #include "gemm/Tuner.h"
-#include "ukr/KernelService.h"
+#include "ukr/KernelRegistry.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -174,16 +174,14 @@ int cmdWarm(int64_t MR, int64_t NR, bool Full, unsigned Jobs,
   }
   std::printf("warming %zu kernel(s) into %s with %u worker(s)...\n",
               Family.size(), DC.root().c_str(), Jobs ? Jobs : 2u);
-  ukr::KernelService::Options Opts;
-  Opts.Workers = Jobs;
-  ukr::KernelService Service(Opts);
-  Error Err = Service.warm(Family);
-  ukr::printCacheStats(Service.stats(), stdout);
+  ukr::KernelCache Cache(Jobs);
+  Error Err = Cache.warm(Family);
+  ukr::printCacheStats(Cache.stats(), stdout);
   if (Err) {
     std::fprintf(stderr, "%s\n", Err.message().c_str());
     return 1;
   }
-  std::printf("warm ok: %zu kernel(s) ready\n", Service.size());
+  std::printf("warm ok: %zu kernel(s) ready\n", Cache.size());
   return 0;
 }
 
@@ -226,7 +224,7 @@ int cmdVerify(bool Fix) {
 
 int cmdStats(bool JsonOut) {
   // The process-global caches this CLI can observe directly: the shared
-  // Engine plan cache, the shared KernelService JIT counters, and the
+  // Engine plan cache, the global kernel cache's JIT counters, and the
   // on-disk artifact store. (A running gemmd's live counters travel over
   // the wire instead — see docs/GEMMD.md.)
   gemm::EngineStats ES = gemm::Engine::global().stats();
@@ -242,7 +240,6 @@ int cmdStats(bool JsonOut) {
     Plan.set("hits", static_cast<int64_t>(ES.Hits));
     Plan.set("misses", static_cast<int64_t>(ES.Misses));
     Plan.set("builds", static_cast<int64_t>(ES.Builds));
-    Plan.set("rebuilds", static_cast<int64_t>(ES.Rebuilds));
     Plan.set("evictions", static_cast<int64_t>(ES.Evictions));
     Plan.set("degenerate", static_cast<int64_t>(ES.Degenerate));
     Plan.set("sticky_errors", static_cast<int64_t>(ES.StickyErrors));
@@ -305,12 +302,11 @@ int cmdStats(bool JsonOut) {
     return 0;
   }
 
-  std::printf("plan cache:  %llu hit / %llu miss, %llu built (%llu rebuilt), "
+  std::printf("plan cache:  %llu hit / %llu miss, %llu built, "
               "%llu evicted, %llu degenerate, %llu sticky error(s)\n",
               static_cast<unsigned long long>(ES.Hits),
               static_cast<unsigned long long>(ES.Misses),
               static_cast<unsigned long long>(ES.Builds),
-              static_cast<unsigned long long>(ES.Rebuilds),
               static_cast<unsigned long long>(ES.Evictions),
               static_cast<unsigned long long>(ES.Degenerate),
               static_cast<unsigned long long>(ES.StickyErrors));
