@@ -2,27 +2,67 @@
 
 #include "dnn/Conv.h"
 
+#include <algorithm>
 #include <vector>
 
 using namespace dnn;
 
+namespace {
+
+/// Channels moved per block by im2row and the convolution copy-out. Sixteen
+/// floats are one 64-byte line of an HWC pixel, and sixteen column-major
+/// destination streams stay in L1 while a row of pixels passes through.
+constexpr int64_t ChanBlock = 16;
+
+/// Transposes a Pixels x Chans block (Chans <= ChanBlock) between an HWC
+/// layout, where pixel p's channels are contiguous at p * PixStride, and a
+/// column-major one, where channel c of pixel p is at p + c * Ld. ToCols
+/// copies HWC into columns (im2row); otherwise columns go back out to HWC
+/// (the convViaGemm result).
+template <bool ToCols>
+void transposeBlock(const float *Src, float *Dst, int64_t PixStride,
+                    int64_t Ld, int64_t Pixels, int64_t Chans) {
+  for (int64_t Px = 0; Px < Pixels; ++Px)
+    for (int64_t C = 0; C < Chans; ++C) {
+      if constexpr (ToCols)
+        Dst[Px + C * Ld] = Src[Px * PixStride + C];
+      else
+        Dst[Px * PixStride + C] = Src[Px + C * Ld];
+    }
+}
+
+} // namespace
+
 void dnn::im2row(const ConvParams &P, const float *In, float *A) {
-  const int64_t M = P.gemmM();
-  const int64_t OutW = P.outW();
+  const int64_t M = P.gemmM(), OutH = P.outH(), OutW = P.outW();
   // A is column-major M x K: element (row, col) at A[row + col*M] where
-  // col = (kh*Kw + kw)*InC + c.
+  // row = oh*OutW + ow and col = (kh*Kw + kw)*InC + c.
   for (int64_t Kh = 0; Kh < P.Kh; ++Kh) {
     for (int64_t Kw = 0; Kw < P.Kw; ++Kw) {
-      for (int64_t C = 0; C < P.InC; ++C) {
-        int64_t Col = (Kh * P.Kw + Kw) * P.InC + C;
-        float *ACol = A + Col * M;
-        for (int64_t Row = 0; Row < M; ++Row) {
-          int64_t Oh = Row / OutW, Ow = Row % OutW;
-          int64_t Ih = Oh * P.Stride - P.Pad + Kh;
-          int64_t Iw = Ow * P.Stride - P.Pad + Kw;
-          bool Inside = Ih >= 0 && Ih < P.InH && Iw >= 0 && Iw < P.InW;
-          ACol[Row] =
-              Inside ? In[(Ih * P.InW + Iw) * P.InC + C] : 0.0f;
+      // Output columns [OwLo, OwHi) read in-image pixels for this tap:
+      // 0 <= ow*Stride - Pad + Kw < InW. The rest are padding.
+      const int64_t Lead = P.Pad - Kw, Last = P.InW - 1 + P.Pad - Kw;
+      const int64_t OwLo =
+          std::min(OutW, Lead > 0 ? (Lead + P.Stride - 1) / P.Stride : 0);
+      const int64_t OwHi =
+          std::max(OwLo, std::min(OutW, Last < 0 ? 0 : Last / P.Stride + 1));
+      for (int64_t C0 = 0; C0 < P.InC; C0 += ChanBlock) {
+        const int64_t Chans = std::min(ChanBlock, P.InC - C0);
+        float *Blk = A + ((Kh * P.Kw + Kw) * P.InC + C0) * M;
+        for (int64_t Oh = 0; Oh < OutH; ++Oh) {
+          const int64_t Ih = Oh * P.Stride - P.Pad + Kh;
+          // A padding row of the image pads the whole output row.
+          const bool RowIn = Ih >= 0 && Ih < P.InH;
+          const int64_t Lo = RowIn ? OwLo : OutW, Hi = RowIn ? OwHi : OutW;
+          float *Row = Blk + Oh * OutW;
+          for (int64_t C = 0; C < Chans; ++C) {
+            std::fill(Row + C * M, Row + C * M + Lo, 0.0f);
+            std::fill(Row + C * M + Hi, Row + C * M + OutW, 0.0f);
+          }
+          if (Hi > Lo)
+            transposeBlock<true>(
+                In + (Ih * P.InW + Lo * P.Stride - P.Pad + Kw) * P.InC + C0,
+                Row + Lo, P.Stride * P.InC, M, Hi - Lo, Chans);
         }
       }
     }
@@ -79,8 +119,8 @@ exo::Error dnn::convViaGemm(const ConvParams &P, gemm::Engine &Engine,
     return Err;
 
   // The GEMM result is column-major (pixel, oc); outputs are HWC.
-  for (int64_t Row = 0; Row < M; ++Row)
-    for (int64_t Oc = 0; Oc < N; ++Oc)
-      Out[Row * N + Oc] = C[Row + Oc * M];
+  for (int64_t Oc0 = 0; Oc0 < N; Oc0 += ChanBlock)
+    transposeBlock<false>(C.data() + Oc0 * M, Out + Oc0, N, M, M,
+                          std::min(ChanBlock, N - Oc0));
   return exo::Error::success();
 }

@@ -15,6 +15,14 @@
 /// (kh, kw, ic, oc), outputs HWC. The im2row matrix is stored column-major
 /// (matching gemm::Engine's operand convention) with m = oh*ow rows.
 ///
+/// HWC to column-major is a transpose, so im2row is cache-blocked: per
+/// kernel tap and block of 16 input channels it walks the output rows,
+/// copying each in-image pixel's contiguous channel block into the block's
+/// 16 columns and zero-filling padded spans whole. The valid output-column
+/// range is computed once per tap, so no output element pays a division
+/// or a bounds test. convViaGemm's copy-out from the column-major GEMM
+/// result back to HWC is the same block transpose in reverse.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef DNN_CONV_H

@@ -24,6 +24,8 @@
 #include "gemm/Pack.h"
 #include "gemm/ThreadPool.h"
 
+#include <cstddef>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -129,20 +131,43 @@ struct GemmGeometry {
   bool NeedBPad = false; ///< some Tight-mode width lacks its edge kernel
 };
 
+/// Cache-line alignment of the workspace's panels and scratch tiles.
+inline constexpr size_t PanelAlign = 64;
+
+/// std::allocator with PanelAlign alignment, so a panel's first element
+/// starts a cache line whatever the heap's history (plain malloc gives 16).
+template <typename T> struct PanelAllocator {
+  using value_type = T;
+  PanelAllocator() = default;
+  template <typename U> PanelAllocator(const PanelAllocator<U> &) noexcept {}
+  T *allocate(size_t N) {
+    return static_cast<T *>(
+        ::operator new(N * sizeof(T), std::align_val_t{PanelAlign}));
+  }
+  void deallocate(T *P, size_t N) noexcept {
+    ::operator delete(P, N * sizeof(T), std::align_val_t{PanelAlign});
+  }
+  template <typename U> bool operator==(const PanelAllocator<U> &) const {
+    return true;
+  }
+};
+
+template <typename T> using PanelVector = std::vector<T, PanelAllocator<T>>;
+
 /// Pack buffers and per-thread scratch for one geometry. ensure() resizes
 /// to fit and is idempotent: a second call with the same geometry performs
 /// no allocation, which is what keeps the Engine's pooled steady state
-/// allocation-free.
+/// allocation-free. Every buffer is PanelAlign-aligned.
 struct GemmWorkspace {
-  std::vector<float> BBuf;
-  std::vector<std::vector<float>> ABufs, Scratches, BPads;
+  PanelVector<float> BBuf;
+  std::vector<PanelVector<float>> ABufs, Scratches, BPads;
   /// I8I32 geometries pack into byte panels and accumulate into i32
   /// scratch tiles instead; the float vectors above stay empty for them
   /// (and vice versa), so a pooled workspace is sized for exactly one
   /// dtype — which is what the per-plan pools hold anyway.
-  std::vector<int8_t> BBufI8;
-  std::vector<std::vector<int8_t>> ABufsI8;
-  std::vector<std::vector<int32_t>> ScratchesI32;
+  PanelVector<int8_t> BBufI8;
+  std::vector<PanelVector<int8_t>> ABufsI8;
+  std::vector<PanelVector<int32_t>> ScratchesI32;
   void ensure(const GemmGeometry &G);
 };
 

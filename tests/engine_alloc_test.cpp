@@ -42,10 +42,33 @@ void *operator new(size_t Size) {
 
 void *operator new[](size_t Size) { return ::operator new(Size); }
 
+// The Engine's pack panels come from the aligned overloads; count those
+// too, or a panel regrown on the hot path would go unseen.
+void *operator new(size_t Size, std::align_val_t Align) {
+  if (Counting.load(std::memory_order_relaxed))
+    LiveNews.fetch_add(1, std::memory_order_relaxed);
+  const size_t A = static_cast<size_t>(Align);
+  if (void *P = std::aligned_alloc(A, Size ? (Size + A - 1) / A * A : A))
+    return P;
+  throw std::bad_alloc();
+}
+
+void *operator new[](size_t Size, std::align_val_t Align) {
+  return ::operator new(Size, Align);
+}
+
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, size_t) noexcept { std::free(P); }
 void operator delete[](void *P, size_t) noexcept { std::free(P); }
+void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete(void *P, size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
 
 namespace {
 

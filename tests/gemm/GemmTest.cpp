@@ -396,3 +396,37 @@ TEST(GemmDriverTest, ProviderSharedAcrossCallerThreads) {
               1e-3f);
   }
 }
+
+// Every pack panel and scratch tile starts a cache line, for the f32 panel
+// set (with the re-padded B strip) and for the i8 byte/i32 set alike.
+TEST(GemmWorkspaceTest, EnsureYieldsCacheLineAlignedPanels) {
+  auto Aligned = [](const void *P) {
+    return reinterpret_cast<uintptr_t>(P) % detail::PanelAlign == 0;
+  };
+  detail::GemmGeometry G;
+  G.Mr = 8;
+  G.Nr = 12;
+  G.Mc = 37;
+  G.Kc = 29;
+  G.Nc = 53;
+  G.T = 3;
+  G.NeedBPad = true;
+  detail::GemmWorkspace F32;
+  F32.ensure(G);
+  EXPECT_TRUE(Aligned(F32.BBuf.data()));
+  for (int64_t I = 0; I < G.T; ++I) {
+    EXPECT_TRUE(Aligned(F32.ABufs[I].data())) << I;
+    EXPECT_TRUE(Aligned(F32.Scratches[I].data())) << I;
+    EXPECT_TRUE(Aligned(F32.BPads[I].data())) << I;
+  }
+
+  G.Ty = DType::I8I32;
+  G.NeedBPad = false;
+  detail::GemmWorkspace I8;
+  I8.ensure(G);
+  EXPECT_TRUE(Aligned(I8.BBufI8.data()));
+  for (int64_t I = 0; I < G.T; ++I) {
+    EXPECT_TRUE(Aligned(I8.ABufsI8[I].data())) << I;
+    EXPECT_TRUE(Aligned(I8.ScratchesI32[I].data())) << I;
+  }
+}
