@@ -17,18 +17,47 @@
 ///          tile).
 ///   packB: symmetric, nr-wide panels of a kc x nc block of B.
 ///
+/// One panel core does both. Named by panel coordinates, element (r, k) of
+/// a rows x kc block sits at X[r*rs + k*cs] and lands in panel r / w; packA
+/// is the core over (m, k), packB the core over (n, k), i.e. B's stride pair
+/// swapped. Every executor call has one unit stride (a transposed operand
+/// only swaps the pair), and the core picks one of two SSE2 kernels by
+/// which one it is:
+///
+///   rs == 1 (A NoTrans, B Trans): panel rows are contiguous source runs.
+///          Straight copies; source columns go in groups of eight, each
+///          group walked front to back across every panel of the block,
+///          so each column of the block is read once as contiguous runs
+///          and each panel takes eight consecutive rows at a time.
+///   cs == 1 (A Trans, B NoTrans): source rows run along k. Four rows at a
+///          time, walked down k in 4x4 register transposes, so only four
+///          source streams are live whatever the panel width.
+///
+/// Sources with neither unit stride, and non-x86 builds, take the generic
+/// two-stride loop. No kernel reads past the block's last element.
+///
+/// Bitwise contract: every packed value is exactly one f32 multiply
+/// alpha * x of the (exactly widened) source element, also when alpha is 1
+/// (a signalling NaN is quieted either way) and never fused into an FMA;
+/// edge padding is +0. Every kernel therefore yields the same bytes as the
+/// generic loop, and results do not depend on which kernel ran.
+///
 /// Two dtype-specific families extend the layout (docs/PRECISION.md):
 ///
 ///   convert-pack: f16/bf16 storage upconverted to *f32 panels* with the
 ///          identical layout, so the existing f32 micro-kernels consume
 ///          half-precision operands unchanged (accumulation is f32 by
-///          construction — the dot-unit contract).
+///          construction — the dot-unit contract). bf16 widens exactly
+///          (uint32(h) << 16) and rides the same two vector kernels; f16
+///          goes through the scalar decoder. The dtype is dispatched once
+///          per call, not per element.
 ///   i8 K-grouped pack: the VNNI/sdot layout. Panels group the k dimension
 ///          in quads (I8KGroup): element (g, i, kk) of an A panel sits at
 ///          Panel[g*mr*4 + i*4 + kk], i.e. each micro-row contributes 4
 ///          consecutive k values — exactly one dot-instruction operand.
 ///          Short edges and the K remainder are always zero-padded (zeros
-///          are exact in integer dot products).
+///          are exact in integer dot products), in their own passes after
+///          the test-free interior copy.
 ///
 //===----------------------------------------------------------------------===//
 
