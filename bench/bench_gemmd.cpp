@@ -8,6 +8,9 @@
 //   gemmd  req_per_s (better=higher)  — aggregate completed requests/s,
 //          with aggregate GFLOPS and the per-call mean riding along as
 //          extras
+//   gemmd  lat_us_p50, lat_us_p99 (better=lower) — round-trip latency of
+//          one completed request (client call to return), over every
+//          request of every client
 //
 // plus one "local" baseline row: the same shape through an in-process
 // Engine::sgemm on one thread — the ceiling the IPC round trip (staging
@@ -24,6 +27,7 @@
 #include "daemon/Server.h"
 #include "ipc/Client.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -44,7 +48,15 @@ std::string uniqueSocketPath() {
 struct LoadPoint {
   uint64_t Requests = 0;
   double Seconds = 0;
+  std::vector<double> LatUs; ///< per completed request, sorted
   double reqPerS() const { return Requests / Seconds; }
+  /// Nearest-rank percentile of LatUs (0 when empty).
+  double latUs(double Pct) const {
+    if (LatUs.empty())
+      return 0.0;
+    size_t Rank = static_cast<size_t>(Pct / 100.0 * LatUs.size());
+    return LatUs[std::min(Rank, LatUs.size() - 1)];
+  }
 };
 
 /// \p Clients sessions flat-out for \p Budget seconds. Sessions connect
@@ -68,17 +80,18 @@ LoadPoint runLoad(const std::string &Socket, int Clients, int64_t S,
                  Ccs[I].data(), S);
   }
   std::atomic<bool> Stop{false};
-  std::atomic<uint64_t> Total{0};
+  std::vector<std::vector<double>> Lat(Clients); ///< per thread, us
   std::vector<std::thread> Ts;
   for (int I = 0; I != Clients; ++I)
     Ts.emplace_back([&, I] {
-      uint64_t Mine = 0;
       while (!Stop.load(std::memory_order_relaxed)) {
+        auto T0 = std::chrono::steady_clock::now();
         if (!Cs[I]->sgemm(S, S, S, 1.f, As[I].data(), S, Bs[I].data(), S,
                           0.f, Ccs[I].data(), S))
-          ++Mine;
+          Lat[I].push_back(std::chrono::duration<double, std::micro>(
+                               std::chrono::steady_clock::now() - T0)
+                               .count());
       }
-      Total.fetch_add(Mine, std::memory_order_relaxed);
     });
   auto Start = std::chrono::steady_clock::now();
   std::this_thread::sleep_for(std::chrono::duration<double>(Budget));
@@ -89,7 +102,10 @@ LoadPoint runLoad(const std::string &Socket, int Clients, int64_t S,
   P.Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
-  P.Requests = Total.load(std::memory_order_relaxed);
+  for (const std::vector<double> &L : Lat)
+    P.LatUs.insert(P.LatUs.end(), L.begin(), L.end());
+  std::sort(P.LatUs.begin(), P.LatUs.end());
+  P.Requests = P.LatUs.size();
   return P;
 }
 
@@ -144,7 +160,8 @@ int main(int Argc, char **Argv) {
   }
 
   benchutil::Table T("gemmd_saturation",
-                     {"clients", "req_per_s", "agg_gflops", "ms_per_req"},
+                     {"clients", "req_per_s", "agg_gflops", "ms_per_req",
+                      "p50_us", "p99_us"},
                      Opt.Csv);
 
   // The local ceiling: one thread, no transport.
@@ -161,9 +178,16 @@ int main(int Argc, char **Argv) {
         Opt.Seconds);
   }
   double LocalReqPerS = 1.0 / MLocal.SecondsPerCall;
-  T.addRow("local", {LocalReqPerS,
-                     benchutil::gflops(Flops, MLocal.SecondsPerCall),
-                     MLocal.SecondsPerCall * 1e3});
+  {
+    // Timed as a mean over repetitions: no per-call percentiles.
+    char Cells[3][32];
+    std::snprintf(Cells[0], sizeof(Cells[0]), "%.2f", LocalReqPerS);
+    std::snprintf(Cells[1], sizeof(Cells[1]), "%.2f",
+                  benchutil::gflops(Flops, MLocal.SecondsPerCall));
+    std::snprintf(Cells[2], sizeof(Cells[2]), "%.2f",
+                  MLocal.SecondsPerCall * 1e3);
+    T.addRow({"local", Cells[0], Cells[1], Cells[2], "-", "-"});
+  }
   {
     benchutil::ReportRow Row;
     Row.Label = "local";
@@ -186,7 +210,8 @@ int main(int Argc, char **Argv) {
     double AggGflops = benchutil::gflops(Flops * P.Requests, P.Seconds);
     double MsPerReq =
         P.Requests ? P.Seconds / P.Requests * 1e3 * Clients : 0.0;
-    T.addRow(std::to_string(Clients), {P.reqPerS(), AggGflops, MsPerReq});
+    T.addRow(std::to_string(Clients), {P.reqPerS(), AggGflops, MsPerReq,
+                                       P.latUs(50), P.latUs(99)});
 
     benchutil::ReportRow Row;
     Row.Label = "clients" + std::to_string(Clients);
@@ -200,6 +225,15 @@ int main(int Argc, char **Argv) {
     Row.M = Row.N = Row.K = S;
     Row.Extra["clients"] = Clients;
     Row.Extra["agg_gflops"] = AggGflops;
+    for (auto [Metric, Pct] : {std::pair<const char *, double>{"lat_us_p50", 50},
+                               {"lat_us_p99", 99}}) {
+      benchutil::ReportRow LatRow = Row;
+      LatRow.Metric = Metric;
+      LatRow.Better = "lower";
+      LatRow.Value = P.latUs(Pct);
+      LatRow.Extra.erase("agg_gflops");
+      Ctx.Rep.addRow(std::move(LatRow));
+    }
     Ctx.Rep.addRow(std::move(Row));
   }
   T.print();

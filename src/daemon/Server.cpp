@@ -6,10 +6,12 @@
 
 #include "daemon/Server.h"
 
+#include "exo/jit/Jit.h"
 #include "exo/support/Env.h"
 #include "ipc/Ring.h"
 #include "ipc/Shm.h"
 #include "ipc/Socket.h"
+#include "ipc/Spin.h"
 #include "obs/Obs.h"
 #include "ukr/KernelRegistry.h"
 
@@ -88,6 +90,10 @@ struct Work {
   int64_t Count = 1;
 
   bool batched() const { return Kind == ipc::PacketType::GemmBatchRequest; }
+  /// Too much work to spin for (ipc::SpinMaxFlops).
+  bool large() const {
+    return ipc::requestFlops(M, N, K, Count) > ipc::SpinMaxFlops;
+  }
   ipc::PacketType replyType() const {
     return batched() ? ipc::PacketType::GemmBatchReply
                      : ipc::PacketType::GemmReply;
@@ -147,8 +153,22 @@ struct Server::Impl {
   std::mutex QMu;
   std::condition_variable QCv;
   std::deque<Work> Queue;
+  /// Queue.size(), published for executors spinning outside QMu; written
+  /// under QMu.
+  std::atomic<size_t> QDepth{0};
   bool Stopping = false;
   bool Running = false;
+  /// Poller and executors spin before parking (ipc/Spin.h); decided at
+  /// start() from the starting thread's affinity, which they inherit.
+  bool Spin = false;
+  /// Admitted large requests (Work::large) not yet handled. While one is
+  /// in flight nobody spins: its team needs the CPUs.
+  std::atomic<int> LargeInFlight{0};
+  /// Whether a thread idle since before \p Idle ends keeps spinning.
+  bool spinning(ipc::SpinClock::time_point Idle) const {
+    return Spin && LargeInFlight.load(std::memory_order_relaxed) == 0 &&
+           ipc::SpinClock::now() < Idle;
+  }
 
   mutable std::mutex SessMu;
   std::map<int, std::shared_ptr<Session>> Sessions; ///< by fd
@@ -367,7 +387,10 @@ void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
       {
         std::lock_guard<std::mutex> Lock(QMu);
         if (!Stopping && Queue.size() < Opts.QueueMax) {
+          if (W.large())
+            LargeInFlight.fetch_add(1, std::memory_order_relaxed);
           Queue.push_back(std::move(W));
+          QDepth.store(Queue.size(), std::memory_order_relaxed);
           Admitted = true;
         }
       }
@@ -412,6 +435,8 @@ void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
 void Server::Impl::pollLoop() {
   std::vector<pollfd> Pfds;
   std::vector<std::shared_ptr<Session>> Polled;
+  // End of the busy-poll window; each handled event extends it.
+  ipc::SpinClock::time_point Idle = ipc::SpinClock::now() + ipc::ServerSpin;
   for (;;) {
     // Close out sessions executors marked dead (full ring / flood).
     {
@@ -437,7 +462,14 @@ void Server::Impl::pollLoop() {
         Polled.push_back(KV.second);
       }
     }
-    int Rc = ::poll(Pfds.data(), Pfds.size(), -1);
+    // Busy-poll the same set until the window closes, then block. Rings
+    // are still drained only after their session's doorbell: a ring read
+    // ahead of it could reap a session its client has not finished using.
+    int Rc = 0;
+    while (Rc == 0 && spinning(Idle))
+      Rc = ::poll(Pfds.data(), Pfds.size(), 0);
+    if (Rc == 0)
+      Rc = ::poll(Pfds.data(), Pfds.size(), -1);
     if (Rc < 0) {
       if (errno == EINTR)
         continue;
@@ -484,6 +516,7 @@ void Server::Impl::pollLoop() {
         reapSession(S, "client hangup");
       }
     }
+    Idle = ipc::SpinClock::now() + ipc::ServerSpin;
   }
 }
 
@@ -563,9 +596,10 @@ void Server::Impl::handleGemm(const Work &W) {
   // Cache-attribution flags ride on global counter deltas around the
   // call; with several executors they can misattribute a neighbor's
   // build, but daemon-level stats (what the warm-cache contract is
-  // verified by) stay exact.
-  gemm::EngineStats EB = Eng.stats();
-  ukr::CacheStats UB = ukr::globalCacheStats();
+  // verified by) stay exact. Only the three counters the flags need are
+  // read: no plan-cache scan, one JIT-counter lock.
+  const gemm::EngineStats EB = Eng.counters();
+  const uint64_t CompilesB = exo::jitStats().Compiles;
   uint64_t T0 = nowNs();
   Error E = [&] {
     EXO_OBS_SPAN("gemmd.request");
@@ -583,13 +617,12 @@ void Server::Impl::handleGemm(const Work &W) {
                     W.Ldc);
   }();
   Rep.ServerNs = nowNs() - T0;
-  gemm::EngineStats EA = Eng.stats();
-  ukr::CacheStats UA = ukr::globalCacheStats();
+  const gemm::EngineStats EA = Eng.counters();
   if (EA.Hits > EB.Hits)
     Rep.Flags |= ipc::ReplyPlanHit;
   if (EA.Builds > EB.Builds)
     Rep.Flags |= ipc::ReplyPlanBuilt;
-  if (UA.Compiles > UB.Compiles)
+  if (exo::jitStats().Compiles > CompilesB)
     Rep.Flags |= ipc::ReplyJitCompiled;
 
   if (E) {
@@ -605,10 +638,23 @@ void Server::Impl::handleGemm(const Work &W) {
 }
 
 void Server::Impl::executorLoop() {
+  // Spin on the published queue depth until ServerSpin after the last
+  // request, then park on QCv.
+  ipc::SpinClock::time_point Idle = ipc::SpinClock::now() + ipc::ServerSpin;
   for (;;) {
+    if (Spin)
+      ipc::spinUntil(
+          [&] {
+            return QDepth.load(std::memory_order_relaxed) != 0 ||
+                   LargeInFlight.load(std::memory_order_relaxed) != 0;
+          },
+          Idle);
     Work W;
     {
       std::unique_lock<std::mutex> Lock(QMu);
+      // Another executor took the item this one saw: spin out the window.
+      if (Queue.empty() && !Stopping && spinning(Idle))
+        continue;
       QCv.wait(Lock, [&] { return Stopping || !Queue.empty(); });
       if (Queue.empty()) {
         if (Stopping)
@@ -617,8 +663,12 @@ void Server::Impl::executorLoop() {
       }
       W = std::move(Queue.front());
       Queue.pop_front();
+      QDepth.store(Queue.size(), std::memory_order_relaxed);
     }
     handleGemm(W);
+    if (W.large())
+      LargeInFlight.fetch_sub(1, std::memory_order_relaxed);
+    Idle = ipc::SpinClock::now() + ipc::ServerSpin;
   }
 }
 
@@ -677,6 +727,7 @@ Error Server::start() {
   I->WakeR = Pipe[0];
   I->WakeW = Pipe[1];
   I->StartNs = nowNs();
+  I->Spin = ipc::spinAllowed();
   I->Stopping = false;
   I->Running = true;
   I->Poller = std::thread([this] { I->pollLoop(); });

@@ -34,8 +34,10 @@
 /// bounded queue and run Engine::gemm, the one typed door (batch packets:
 /// Engine::sgemmStridedBatched). Single and batched requests share one
 /// admission branch and one handler. Replies go back through the
-/// session's response ring under a per-session write lock. stop() is
-/// graceful: accepted work drains, sessions then close.
+/// session's response ring under a per-session write lock. The poller and
+/// the executors poll for ipc::ServerSpin after their last work before
+/// they park (ipc/Spin.h). stop() is graceful: accepted work drains,
+/// sessions then close.
 ///
 //===----------------------------------------------------------------------===//
 

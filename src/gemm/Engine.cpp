@@ -767,7 +767,7 @@ size_t Engine::planCount() const {
   return N;
 }
 
-EngineStats Engine::stats() const {
+EngineStats Engine::counters() const {
   EngineStats S;
   S.Hits = I->Hits.load(std::memory_order_relaxed);
   S.Misses = I->Misses.load(std::memory_order_relaxed);
@@ -785,6 +785,11 @@ EngineStats Engine::stats() const {
   S.GovShapeClamped = I->GovShapeClamped.load(std::memory_order_relaxed);
   S.GovOccClamped = I->GovOccClamped.load(std::memory_order_relaxed);
   S.GovWidthSum = I->GovWidthSum.load(std::memory_order_relaxed);
+  return S;
+}
+
+EngineStats Engine::stats() const {
+  EngineStats S = counters();
   {
     // A gauge, not a counter: the cache's live per-dtype contents, read
     // under the shared lock like planCount().

@@ -249,6 +249,10 @@ public:
   size_t planCount() const;
 
   EngineStats stats() const;
+  /// stats() without the PlansByDtype gauge (left zero): relaxed counter
+  /// loads only, no lock and no cache scan — cheap enough to bracket a
+  /// single call (gemmd's per-request reply flags).
+  EngineStats counters() const;
   void resetStats();
 
   /// The active series' display name ("exo", "blis", ...).

@@ -7,8 +7,11 @@
 #include "ipc/Client.h"
 
 #include "exo/support/Env.h"
+#include "ipc/Spin.h"
 #include "obs/Obs.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -172,12 +175,14 @@ Error Client::ensureConnectedLocked() {
   // The server holds a mapping now; drop the name so a crash on either
   // side can never leak a /dev/shm entry.
   Shm.unlinkName();
+  Spin = ipc::spinAllowed();
   Connected = true;
   return Error::success();
 }
 
 Error Client::transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
-                             ipc::PacketType WantType, uint32_t WantSeq) {
+                             ipc::PacketType WantType, uint32_t WantSeq,
+                             double Flops) {
   if (!ReqRing.push(Packet, Bytes)) {
     // Synchronous protocol: a full request ring means the server stopped
     // draining — treat as a dead session.
@@ -188,25 +193,62 @@ Error Client::transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
     dropSessionLocked();
     return E;
   }
-  // Wait for reply doorbells; tolerate coalescing and stale packets.
-  for (;;) {
+  // Pops the response ring: 1 when the wanted reply is in Reply, 0 when
+  // it has not arrived, -1 on a malformed packet. Stale replies (for
+  // abandoned requests) are skipped.
+  auto Take = [&]() -> int {
     alignas(8) unsigned char Slot[ipc::SlotBytes];
     while (RespRing.pop(Slot)) {
       ipc::PacketHeader PH;
       std::memcpy(&PH, Slot, sizeof(PH));
       if (PH.Magic != ipc::WireMagic || PH.Version != ipc::WireVersion ||
-          PH.Bytes < sizeof(ipc::PacketHeader) || PH.Bytes > ipc::SlotBytes) {
-        dropSessionLocked();
-        return errorf("gemmd: malformed reply packet from server");
-      }
+          PH.Bytes < sizeof(ipc::PacketHeader) || PH.Bytes > ipc::SlotBytes)
+        return -1;
       if (PH.Type == static_cast<uint16_t>(WantType) && PH.Seq == WantSeq) {
         std::memcpy(Reply, Slot, ipc::SlotBytes);
-        return Error::success();
+        return 1;
       }
-      // Stale reply for an abandoned request; skip.
+    }
+    return 0;
+  };
+  auto Finish = [&](int Got) -> Error {
+    if (Got > 0)
+      return Error::success();
+    dropSessionLocked();
+    return errorf("gemmd: malformed reply packet from server");
+  };
+  const ipc::SpinClock::time_point Start = ipc::SpinClock::now();
+  const ipc::SpinClock::time_point Deadline =
+      Opts.TimeoutMs < 0 ? ipc::SpinClock::time_point::max()
+                         : Start + std::chrono::milliseconds(Opts.TimeoutMs);
+  // Spin first: a small request's reply lands within the budget, and
+  // polling the ring saves the wake-up out of a blocking read. The reply
+  // doorbell still comes; drop it (and any earlier one that arrived late)
+  // so the socket never builds a backlog.
+  int Got = 0;
+  if (Spin && Flops <= ipc::SpinMaxFlops &&
+      ipc::spinUntil([&] { return (Got = Take()) != 0; },
+                     std::min(Start + ipc::ClientSpin, Deadline))) {
+    if (Got > 0)
+      Sock.drainBells();
+    return Finish(Got);
+  }
+  // Park. Drop the bells of earlier spin-served replies, then re-check the
+  // ring: a reply pushed before the drain shows now, so every byte read
+  // below belongs to a reply still to come. Coalesced bells are fine — the
+  // ring is re-checked after each one.
+  Sock.drainBells();
+  for (;;) {
+    if ((Got = Take()) != 0)
+      return Finish(Got);
+    int LeftMs = -1;
+    if (Opts.TimeoutMs >= 0) {
+      const auto Left = std::chrono::ceil<std::chrono::milliseconds>(
+          Deadline - ipc::SpinClock::now());
+      LeftMs = static_cast<int>(std::max<int64_t>(0, Left.count()));
     }
     uint8_t Bell;
-    if (Error E = Sock.recvAllTimed(&Bell, 1, Opts.TimeoutMs)) {
+    if (Error E = Sock.recvAllTimed(&Bell, 1, LeftMs)) {
       dropSessionLocked();
       return E;
     }
@@ -365,7 +407,8 @@ Error Client::run(const Call &Q) {
     Req.Lda = ARows;
     Req.Ldb = BRows;
     Req.Ldc = Q.M;
-    return transactLocked(&Req, sizeof(Req), ReplyBuf, ReplyType, Req.H.Seq);
+    return transactLocked(&Req, sizeof(Req), ReplyBuf, ReplyType, Req.H.Seq,
+                          ipc::requestFlops(Q.M, Q.N, Q.K, Q.Count));
   };
   ipc::GemmBatchRequestMsg Batch;
   Batch.StrideA = Q.StrideA ? ARows * ACols : 0;

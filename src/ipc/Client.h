@@ -9,8 +9,9 @@
 /// `Engine::gemm`, the Engine's one typed front door, but instead of
 /// planning and executing locally it stages the operands into the
 /// session's shared-memory arena, posts a GemmRequest packet on the
-/// request ring, rings the doorbell, and blocks until the server's reply —
-/// so a fleet of processes shares ONE warm plan cache, ONE JIT cache, and
+/// request ring, rings the doorbell, and waits for the server's reply
+/// (polling the response ring for ipc::ClientSpin, then blocking on the
+/// reply doorbell; ipc/Spin.h) — so a fleet of processes shares ONE warm plan cache, ONE JIT cache, and
 /// ONE thread pool inside the daemon instead of each paying the cold-start
 /// cost (docs/GEMMD.md). `sgemm` forwards to it; `sgemmStridedBatched`
 /// ships a whole batch as one GemmBatchRequest. Both doors check their own
@@ -55,8 +56,9 @@ public:
     /// Session region size (rings + tensor arena). 0 resolves
     /// EXO_GEMMD_SHM_BYTES, else 64 MiB.
     uint64_t ShmBytes = 0;
-    /// Reply wait budget in ms; 0 resolves EXO_GEMMD_TIMEOUT_MS, else
-    /// -1 (wait forever). Timeouts kill the session.
+    /// Reply wait budget in ms, spin included; 0 resolves
+    /// EXO_GEMMD_TIMEOUT_MS, else -1 (wait forever). Timeouts kill the
+    /// session.
     int TimeoutMs = 0;
   };
 
@@ -137,8 +139,11 @@ private:
   /// reply status and collecting C.
   exo::Error run(const Call &Q);
   exo::Error ensureConnectedLocked();
+  /// Posts one packet and waits for its reply. \p Flops is the request's
+  /// work; above ipc::SpinMaxFlops the wait parks without spinning.
   exo::Error transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
-                            ipc::PacketType WantType, uint32_t WantSeq);
+                            ipc::PacketType WantType, uint32_t WantSeq,
+                            double Flops = 0);
   void dropSessionLocked();
 
   Options Opts;
@@ -148,6 +153,9 @@ private:
   ipc::SessionLayout Layout;
   ipc::RingView ReqRing, RespRing;
   bool Connected = false;
+  /// Poll the response ring before blocking on the reply doorbell (ipc/
+  /// Spin.h); decided per session from the connecting thread's affinity.
+  bool Spin = false;
   uint32_t Seq = 0;
   uint32_t LastFlags = 0;
   uint64_t RequestsOk = 0;

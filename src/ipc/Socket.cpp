@@ -145,6 +145,11 @@ Error Socket::recvAllTimed(void *Buf, size_t N, int TimeoutMs) {
   return Error::success();
 }
 
+void Socket::drainBells() {
+  char Bells[64];
+  (void)!::recv(Fd, Bells, sizeof(Bells), MSG_DONTWAIT);
+}
+
 std::string defaultSocketPath() {
   if (const char *S = std::getenv("EXO_GEMMD_SOCKET"); S && *S)
     return S;

@@ -68,6 +68,11 @@ public:
   /// Sends a single doorbell byte; a lost peer is reported, not fatal.
   exo::Error ring(uint8_t Bell) { return sendAll(&Bell, 1); }
 
+  /// Discards the doorbell bytes already received, in one non-blocking
+  /// read; never waits and reports nothing (a lost peer shows on the next
+  /// send or blocking read).
+  void drainBells();
+
 private:
   int Fd = -1;
 };

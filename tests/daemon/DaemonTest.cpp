@@ -14,7 +14,9 @@
 //     header, or an oversized header costs exactly that client its
 //     session while every other stream keeps serving,
 //   - admission control answers Busy instead of queueing unboundedly,
-//   - handshake rejections (bad version, --max-clients) are clean.
+//   - handshake rejections (bad version, --max-clients) are clean,
+//   - the spin-then-park waits: parked replies, wake-up after idling, no
+//     doorbell backlog, no spinning on one CPU or when idle.
 //
 // Out-of-process clients are fork+exec'd real binaries
 // (gemmd_client_helper), so SIGKILL kills a genuine separate process.
@@ -30,6 +32,7 @@
 #include "ipc/Ring.h"
 #include "ipc/Shm.h"
 #include "ipc/Socket.h"
+#include "ipc/Spin.h"
 
 #include <gtest/gtest.h>
 
@@ -40,6 +43,11 @@
 #include <dirent.h>
 #include <map>
 #include <random>
+#include <sched.h>
+#include <sys/ioctl.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -686,6 +694,141 @@ TEST(GemmdAdmission, MaxClientsEnforced) {
       Admitted = true;
   }
   EXPECT_TRUE(Admitted);
+}
+
+//===----------------------------------------------------------------------===//
+// Spin-then-park waits (ipc/Spin.h): the parked paths and the spin's limits
+//===----------------------------------------------------------------------===//
+
+/// The fd of the one client socket connected to \p SocketPath in this
+/// process (the server's accepted ends have unnamed peers), or -1.
+int clientSocketFd(const std::string &SocketPath) {
+  int Found = -1;
+  for (int Fd = 0; Fd != 1024; ++Fd) {
+    sockaddr_un Peer{};
+    socklen_t Len = sizeof(Peer);
+    if (::getpeername(Fd, reinterpret_cast<sockaddr *>(&Peer), &Len) != 0 ||
+        Peer.sun_family != AF_UNIX || SocketPath != Peer.sun_path)
+      continue;
+    if (Found >= 0)
+      return -1; // ambiguous
+    Found = Fd;
+  }
+  return Found;
+}
+
+/// Process CPU time (all threads), in ms.
+double processCpuMs() {
+  rusage U{};
+  ::getrusage(RUSAGE_SELF, &U);
+  return (U.ru_utime.tv_sec + U.ru_stime.tv_sec) * 1e3 +
+         (U.ru_utime.tv_usec + U.ru_stime.tv_usec) * 1e-3;
+}
+
+TEST(GemmdSpin, ReplyPastTheSpinBudgetMatchesLocalBitwise) {
+  // A 512^3 GEMM runs for milliseconds, far past ipc::ClientSpin: the
+  // client parks on the reply doorbell and must still get the exact
+  // result.
+  ServerFixture F;
+  gemm::Client Remote(F.clientOpts());
+  gemm::Engine Local;
+  expectRemoteMatchesLocal(Remote, Local, gemm::Trans::None,
+                           gemm::Trans::None, 512, 512, 512, 0.5f, 61);
+}
+
+TEST(GemmdSpin, RequestAfterIdleGapCompletes) {
+  // Every thread on both sides has parked by the time the second request
+  // arrives; the doorbells alone must wake them.
+  ServerFixture F;
+  gemm::Client Remote(F.clientOpts());
+  gemm::Engine Local;
+  expectRemoteMatchesLocal(Remote, Local, gemm::Trans::None,
+                           gemm::Trans::None, 24, 20, 16, 0.0f, 62);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  expectRemoteMatchesLocal(Remote, Local, gemm::Trans::None,
+                           gemm::Trans::None, 24, 20, 16, 0.0f, 63);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Remote.ping());
+}
+
+TEST(GemmdSpin, SpinServedRepliesLeaveNoDoorbellBacklog) {
+  // Each reply still rings the client's doorbell; a client that found its
+  // reply by spinning must drop those bytes, or 10k requests would leave
+  // 10k of them queued on the socket.
+  ServerFixture F;
+  gemm::Client Remote(F.clientOpts());
+  std::vector<float> A(8 * 8, 0.5f), C(8 * 8, 0.0f);
+  for (int I = 0; I != 10000; ++I) {
+    ASSERT_FALSE(I % 2 ? Remote.ping()
+                       : Remote.sgemm(8, 8, 8, 1.0f, A.data(), 8, A.data(),
+                                      8, 0.0f, C.data(), 8))
+        << "request " << I;
+  }
+  EXPECT_EQ(2.0f, C[0]);
+  const int Fd = clientSocketFd(F.Opts.SocketPath);
+  ASSERT_GE(Fd, 0);
+  auto PendingBells = [&] {
+    int Pending = -1;
+    EXPECT_EQ(0, ::ioctl(Fd, FIONREAD, &Pending));
+    return Pending;
+  };
+  // At most the last reply's bell, if it landed after the client's drain.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_LE(PendingBells(), 1) << "doorbell bytes piled up";
+  // Then one that has to park; it consumes its own bell.
+  gemm::Engine Local;
+  expectRemoteMatchesLocal(Remote, Local, gemm::Trans::None,
+                           gemm::Trans::None, 512, 512, 512, 0.0f, 64);
+  EXPECT_EQ(0, PendingBells()) << "unread doorbell bytes on the client socket";
+}
+
+TEST(GemmdSpin, SingleCpuAffinityTurnsSpinningOffAndServes) {
+  cpu_set_t Saved;
+  ASSERT_EQ(0, ::sched_getaffinity(0, sizeof(Saved), &Saved));
+  int First = 0;
+  while (First != CPU_SETSIZE && !CPU_ISSET(First, &Saved))
+    ++First;
+  ASSERT_NE(CPU_SETSIZE, First);
+  cpu_set_t One;
+  CPU_ZERO(&One);
+  CPU_SET(First, &One);
+  ASSERT_EQ(0, ::sched_setaffinity(0, sizeof(One), &One));
+  struct Restore {
+    cpu_set_t &Set;
+    ~Restore() { ::sched_setaffinity(0, sizeof(Set), &Set); }
+  } Guard{Saved};
+  EXPECT_FALSE(ipc::spinAllowed());
+
+  // Server threads inherit the single-CPU mask from this thread.
+  ServerFixture F;
+  gemm::Client Remote(F.clientOpts());
+  gemm::Engine Local;
+  for (unsigned Seed = 0; Seed != 50; ++Seed)
+    expectRemoteMatchesLocal(Remote, Local, gemm::Trans::None,
+                             gemm::Trans::Transpose, 16 + Seed % 5, 12, 8,
+                             0.0f, 70 + Seed);
+  EXPECT_FALSE(Remote.ping());
+}
+
+TEST(GemmdSpin, IdleServerParks) {
+  // After the last request every spinning thread must park within its
+  // budget: 200 ms of idling with a connected client costs next to no CPU.
+  ServerFixture F;
+  gemm::Client Remote(F.clientOpts());
+  std::vector<float> A(16 * 16, 0.5f), C(16 * 16, 0.0f);
+  for (int I = 0; I != 200; ++I)
+    ASSERT_FALSE(Remote.sgemm(16, 16, 16, 1.0f, A.data(), 16, A.data(), 16,
+                              0.0f, C.data(), 16));
+  // A thread's CPU time is brought up to date only at a tick or a context
+  // switch, so a snapshot taken while the server threads still run would
+  // charge the window with work done before it. Open the window once they
+  // have parked: 2 ms, 20 times the server's spin budget.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const double Cpu0 = processCpuMs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double IdleMs = processCpuMs() - Cpu0;
+  EXPECT_LE(IdleMs, 5.0) << "an idle daemon kept spinning";
+  ASSERT_FALSE(Remote.ping()); // and wakes up again
 }
 
 //===----------------------------------------------------------------------===//
