@@ -3,7 +3,16 @@
 // What the daemon transport costs and how it scales: an in-process
 // gemmd::Server on a private socket, then 1/2/4/8 concurrent client
 // sessions (one thread + one gemm::Client each) hammering the same GEMM
-// shape for the time budget. Rows per client count:
+// shape for the time budget. Three shapes by default:
+//
+//   256^3   rows clients1/2/4 — governed multi-thread teams (33.5 MFLOP)
+//   144^3   rows s144_clients1/2 — about 6 MFLOP, just above the
+//           governor's 2-member floor: a 2-wide team per request
+//   32^3    rows s32_clients1/2/4/8 — tiny requests, where transport and
+//           wake-ups dominate; 8 clients oversubscribe a 4-CPU host
+//
+// (--smoke: 64^3 at 1 and 2 clients only; --big: 512^3 at 1/2/4/8 in
+// place of 256^3). Rows per client count:
 //
 //   gemmd  req_per_s (better=higher)  — aggregate completed requests/s,
 //          with aggregate GFLOPS and the per-call mean riding along as
@@ -12,7 +21,7 @@
 //          one completed request (client call to return), over every
 //          request of every client
 //
-// plus one "local" baseline row: the same shape through an in-process
+// plus one "local" baseline row: the first shape through an in-process
 // Engine::sgemm on one thread — the ceiling the IPC round trip (staging
 // copies + doorbells + scheduling) is measured against.
 //
@@ -117,11 +126,24 @@ int main(int Argc, char **Argv) {
   std::printf("gemmd saturation: req/s and aggregate GFLOPS vs concurrent "
               "clients (one shared daemon engine)\n");
 
-  const int64_t S = Opt.Smoke ? 64 : Opt.Big ? 512 : 256;
-  std::vector<int> ClientCounts =
-      Opt.Smoke ? std::vector<int>{1, 2}
-                : Opt.Big ? std::vector<int>{1, 2, 4, 8}
-                          : std::vector<int>{1, 2, 4};
+  // One load per shape; the first one's rows keep the bare "clientsN"
+  // labels and it is the shape the local row and the probe use.
+  struct Load {
+    int64_t S;
+    std::vector<int> ClientCounts;
+    std::string Prefix;
+  };
+  std::vector<Load> Loads;
+  if (Opt.Smoke)
+    Loads = {{64, {1, 2}, ""}};
+  else
+    Loads = {{Opt.Big ? 512 : 256,
+              Opt.Big ? std::vector<int>{1, 2, 4, 8}
+                      : std::vector<int>{1, 2, 4},
+              ""},
+             {144, {1, 2}, "s144_"},
+             {32, {1, 2, 4, 8}, "s32_"}};
+  const int64_t S = Loads.front().S;
   const double Flops = 2.0 * S * S * S;
 
   gemmd::ServerOptions SO;
@@ -160,7 +182,7 @@ int main(int Argc, char **Argv) {
   }
 
   benchutil::Table T("gemmd_saturation",
-                     {"clients", "req_per_s", "agg_gflops", "ms_per_req",
+                     {"load", "req_per_s", "agg_gflops", "ms_per_req",
                       "p50_us", "p99_us"},
                      Opt.Csv);
 
@@ -205,36 +227,43 @@ int main(int Argc, char **Argv) {
     Ctx.Rep.addRow(std::move(Row));
   }
 
-  for (int Clients : ClientCounts) {
-    LoadPoint P = runLoad(SO.SocketPath, Clients, S, Opt.Seconds);
-    double AggGflops = benchutil::gflops(Flops * P.Requests, P.Seconds);
-    double MsPerReq =
-        P.Requests ? P.Seconds / P.Requests * 1e3 * Clients : 0.0;
-    T.addRow(std::to_string(Clients), {P.reqPerS(), AggGflops, MsPerReq,
-                                       P.latUs(50), P.latUs(99)});
+  for (const Load &L : Loads) {
+    const double LoadFlops = 2.0 * L.S * L.S * L.S;
+    for (int Clients : L.ClientCounts) {
+      LoadPoint P = runLoad(SO.SocketPath, Clients, L.S, Opt.Seconds);
+      double AggGflops =
+          benchutil::gflops(LoadFlops * P.Requests, P.Seconds);
+      double MsPerReq =
+          P.Requests ? P.Seconds / P.Requests * 1e3 * Clients : 0.0;
+      const std::string Label =
+          L.Prefix + "clients" + std::to_string(Clients);
+      T.addRow(Label, {P.reqPerS(), AggGflops, MsPerReq, P.latUs(50),
+                       P.latUs(99)});
 
-    benchutil::ReportRow Row;
-    Row.Label = "clients" + std::to_string(Clients);
-    Row.Series = "gemmd";
-    Row.Metric = "req_per_s";
-    Row.Better = "higher";
-    Row.Value = P.reqPerS();
-    Row.SecondsPerCall = P.Requests ? P.Seconds / P.Requests : 0.0;
-    Row.Reps = static_cast<int64_t>(P.Requests);
-    Row.Threads = resolveGemmThreads(0);
-    Row.M = Row.N = Row.K = S;
-    Row.Extra["clients"] = Clients;
-    Row.Extra["agg_gflops"] = AggGflops;
-    for (auto [Metric, Pct] : {std::pair<const char *, double>{"lat_us_p50", 50},
-                               {"lat_us_p99", 99}}) {
-      benchutil::ReportRow LatRow = Row;
-      LatRow.Metric = Metric;
-      LatRow.Better = "lower";
-      LatRow.Value = P.latUs(Pct);
-      LatRow.Extra.erase("agg_gflops");
-      Ctx.Rep.addRow(std::move(LatRow));
+      benchutil::ReportRow Row;
+      Row.Label = Label;
+      Row.Series = "gemmd";
+      Row.Metric = "req_per_s";
+      Row.Better = "higher";
+      Row.Value = P.reqPerS();
+      Row.SecondsPerCall = P.Requests ? P.Seconds / P.Requests : 0.0;
+      Row.Reps = static_cast<int64_t>(P.Requests);
+      Row.Threads = resolveGemmThreads(0);
+      Row.M = Row.N = Row.K = L.S;
+      Row.Extra["clients"] = Clients;
+      Row.Extra["agg_gflops"] = AggGflops;
+      for (auto [Metric, Pct] :
+           {std::pair<const char *, double>{"lat_us_p50", 50},
+            {"lat_us_p99", 99}}) {
+        benchutil::ReportRow LatRow = Row;
+        LatRow.Metric = Metric;
+        LatRow.Better = "lower";
+        LatRow.Value = P.latUs(Pct);
+        LatRow.Extra.erase("agg_gflops");
+        Ctx.Rep.addRow(std::move(LatRow));
+      }
+      Ctx.Rep.addRow(std::move(Row));
     }
-    Ctx.Rep.addRow(std::move(Row));
   }
   T.print();
 

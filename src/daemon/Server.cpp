@@ -89,11 +89,11 @@ struct Work {
   int64_t StrideA = 0, StrideB = 0, StrideC = 0;
   int64_t Count = 1;
 
+  /// The governor gives this request a multi-thread team
+  /// (Engine::teamWidthFor): nobody spins while it is in flight.
+  bool Team = false;
+
   bool batched() const { return Kind == ipc::PacketType::GemmBatchRequest; }
-  /// Too much work to spin for (ipc::SpinMaxFlops).
-  bool large() const {
-    return ipc::requestFlops(M, N, K, Count) > ipc::SpinMaxFlops;
-  }
   ipc::PacketType replyType() const {
     return batched() ? ipc::PacketType::GemmBatchReply
                      : ipc::PacketType::GemmReply;
@@ -161,12 +161,13 @@ struct Server::Impl {
   /// Poller and executors spin before parking (ipc/Spin.h); decided at
   /// start() from the starting thread's affinity, which they inherit.
   bool Spin = false;
-  /// Admitted large requests (Work::large) not yet handled. While one is
-  /// in flight nobody spins: its team needs the CPUs.
-  std::atomic<int> LargeInFlight{0};
+  /// Admitted team requests (Work::Team) not yet handled. While one is
+  /// in flight nobody spins: a spinner on a team member's CPU stalls the
+  /// whole team at its barriers.
+  std::atomic<int> TeamsInFlight{0};
   /// Whether a thread idle since before \p Idle ends keeps spinning.
   bool spinning(ipc::SpinClock::time_point Idle) const {
-    return Spin && LargeInFlight.load(std::memory_order_relaxed) == 0 &&
+    return Spin && TeamsInFlight.load(std::memory_order_relaxed) == 0 &&
            ipc::SpinClock::now() < Idle;
   }
 
@@ -377,6 +378,8 @@ void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
         return;
       }
       W.S = S;
+      W.Team =
+          Eng.teamWidthFor(ipc::requestFlops(W.M, W.N, W.K, W.Count)) > 1;
       S->Requests.fetch_add(1, std::memory_order_relaxed);
       ReqTotal.fetch_add(1, std::memory_order_relaxed);
       S->LastM.store(W.M, std::memory_order_relaxed);
@@ -387,8 +390,8 @@ void Server::Impl::drainSession(const std::shared_ptr<Session> &S) {
       {
         std::lock_guard<std::mutex> Lock(QMu);
         if (!Stopping && Queue.size() < Opts.QueueMax) {
-          if (W.large())
-            LargeInFlight.fetch_add(1, std::memory_order_relaxed);
+          if (W.Team)
+            TeamsInFlight.fetch_add(1, std::memory_order_relaxed);
           Queue.push_back(std::move(W));
           QDepth.store(Queue.size(), std::memory_order_relaxed);
           Admitted = true;
@@ -466,8 +469,11 @@ void Server::Impl::pollLoop() {
     // are still drained only after their session's doorbell: a ring read
     // ahead of it could reap a session its client has not finished using.
     int Rc = 0;
-    while (Rc == 0 && spinning(Idle))
+    while (Rc == 0 && spinning(Idle)) {
       Rc = ::poll(Pfds.data(), Pfds.size(), 0);
+      if (Rc == 0)
+        ipc::spinPause();
+    }
     if (Rc == 0)
       Rc = ::poll(Pfds.data(), Pfds.size(), -1);
     if (Rc < 0) {
@@ -646,7 +652,7 @@ void Server::Impl::executorLoop() {
       ipc::spinUntil(
           [&] {
             return QDepth.load(std::memory_order_relaxed) != 0 ||
-                   LargeInFlight.load(std::memory_order_relaxed) != 0;
+                   TeamsInFlight.load(std::memory_order_relaxed) != 0;
           },
           Idle);
     Work W;
@@ -666,8 +672,8 @@ void Server::Impl::executorLoop() {
       QDepth.store(Queue.size(), std::memory_order_relaxed);
     }
     handleGemm(W);
-    if (W.large())
-      LargeInFlight.fetch_sub(1, std::memory_order_relaxed);
+    if (W.Team)
+      TeamsInFlight.fetch_sub(1, std::memory_order_relaxed);
     Idle = ipc::SpinClock::now() + ipc::ServerSpin;
   }
 }

@@ -788,6 +788,13 @@ EngineStats Engine::counters() const {
   return S;
 }
 
+int64_t Engine::teamWidthFor(double Flops) const {
+  const int64_t T = I->plannedThreads();
+  if (!I->governorOn())
+    return T;
+  return Governor::global().widthForWork(Flops, T);
+}
+
 EngineStats Engine::stats() const {
   EngineStats S = counters();
   {

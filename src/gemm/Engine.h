@@ -253,6 +253,12 @@ public:
   /// loads only, no lock and no cache scan — cheap enough to bracket a
   /// single call (gemmd's per-request reply flags).
   EngineStats counters() const;
+
+  /// The widest team one call of \p Flops work (2mnk, summed over a
+  /// batch) may run on: the governor's shape model when dispatch is
+  /// governed, else the planned thread count. gemmd asks it whether a
+  /// request leaves CPUs free for threads that spin (ipc/Spin.h).
+  int64_t teamWidthFor(double Flops) const;
   void resetStats();
 
   /// The active series' display name ("exo", "blis", ...).

@@ -84,12 +84,8 @@ void Governor::acquireFlops(double Flops, int64_t PlanWidth, Grant &G) {
   G.Width = 1;
   NGrants.fetch_add(1, std::memory_order_relaxed);
 
-  // Shape model: how many members this problem can productively use,
-  // capped by the plan's own width (workspace/barrier hard cap) and the
-  // process ceiling.
   const int64_t Cap = std::min(PlanWidth, Ceiling);
-  int64_t Desired = governorWidthForWork(Flops, MinWorkFlops, Cap,
-                                         Curve ? &*Curve : nullptr);
+  const int64_t Desired = widthForWork(Flops, PlanWidth);
   if (Desired < Cap) {
     G.ShapeClamp = true;
     NShapeClamped.fetch_add(1, std::memory_order_relaxed);
@@ -140,6 +136,15 @@ void Governor::acquireFlops(double Flops, int64_t PlanWidth, Grant &G) {
     NFullWidth.fetch_add(1, std::memory_order_relaxed);
   NWidthSum.fetch_add(static_cast<uint64_t>(G.Width),
                       std::memory_order_relaxed);
+}
+
+int64_t Governor::widthForWork(double Flops, int64_t PlanWidth) const {
+  // Shape model: how many members this problem can productively use,
+  // capped by the plan's own width (workspace/barrier hard cap) and the
+  // process ceiling.
+  return governorWidthForWork(Flops, MinWorkFlops,
+                              std::min(PlanWidth, Ceiling),
+                              Curve ? &*Curve : nullptr);
 }
 
 GovernorStats Governor::stats() const {

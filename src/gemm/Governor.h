@@ -110,6 +110,11 @@ public:
   /// chunk's aggregate work drives the width model).
   void acquireFlops(double Flops, int64_t PlanWidth, Grant &G);
 
+  /// The width the shape model alone gives \p Flops of work under a plan
+  /// of \p PlanWidth: acquireFlops() before budget and occupancy narrow
+  /// it. Reserves nothing.
+  int64_t widthForWork(double Flops, int64_t PlanWidth) const;
+
   int64_t ceiling() const { return Ceiling; }
   int64_t minWorkFlops() const { return MinWorkFlops; }
 

@@ -7,6 +7,7 @@
 #include "ipc/Client.h"
 
 #include "exo/support/Env.h"
+#include "gemm/Governor.h"
 #include "ipc/Spin.h"
 #include "obs/Obs.h"
 
@@ -110,6 +111,7 @@ void Client::dropSessionLocked() {
   Sock.close();
   Shm = ipc::ShmRegion();
   Connected = false;
+  BellsOwed = false;
 }
 
 Error Client::connect() {
@@ -222,22 +224,32 @@ Error Client::transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
       Opts.TimeoutMs < 0 ? ipc::SpinClock::time_point::max()
                          : Start + std::chrono::milliseconds(Opts.TimeoutMs);
   // Spin first: a small request's reply lands within the budget, and
-  // polling the ring saves the wake-up out of a blocking read. The reply
-  // doorbell still comes; drop it (and any earlier one that arrived late)
-  // so the socket never builds a backlog.
+  // polling the ring saves the wake-up out of a blocking read. Not for a
+  // request the governor runs on a multi-thread team (asked of this
+  // process's governor, which sees the daemon's default unless the two
+  // run with different EXO_GEMM_GOVERNOR_* settings): its reply comes
+  // after the budget anyway, and the spinner would take a CPU from the
+  // team. The reply doorbell still comes; drop it (and any earlier one
+  // that arrived late) so the socket never builds a backlog.
+  const gemm::Governor &Gov = gemm::Governor::global();
   int Got = 0;
-  if (Spin && Flops <= ipc::SpinMaxFlops &&
+  if (Spin && Gov.widthForWork(Flops, Gov.ceiling()) <= 1 &&
       ipc::spinUntil([&] { return (Got = Take()) != 0; },
                      std::min(Start + ipc::ClientSpin, Deadline))) {
-    if (Got > 0)
+    if (Got > 0) {
       Sock.drainBells();
+      BellsOwed = true; // the bell may land after the drain
+    }
     return Finish(Got);
   }
   // Park. Drop the bells of earlier spin-served replies, then re-check the
   // ring: a reply pushed before the drain shows now, so every byte read
   // below belongs to a reply still to come. Coalesced bells are fine — the
   // ring is re-checked after each one.
-  Sock.drainBells();
+  if (BellsOwed) {
+    Sock.drainBells();
+    BellsOwed = false;
+  }
   for (;;) {
     if ((Got = Take()) != 0)
       return Finish(Got);
@@ -250,6 +262,11 @@ Error Client::transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
     uint8_t Bell;
     if (Error E = Sock.recvAllTimed(&Bell, 1, LeftMs)) {
       dropSessionLocked();
+      // The socket reports the part of the budget it was handed; the
+      // caller set the whole of it.
+      if (Opts.TimeoutMs >= 0 && ipc::SpinClock::now() >= Deadline)
+        return errorf("gemmd: timed out after %d ms waiting for the server",
+                      Opts.TimeoutMs);
       return E;
     }
   }

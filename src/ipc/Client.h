@@ -11,11 +11,12 @@
 /// session's shared-memory arena, posts a GemmRequest packet on the
 /// request ring, rings the doorbell, and waits for the server's reply
 /// (polling the response ring for ipc::ClientSpin, then blocking on the
-/// reply doorbell; ipc/Spin.h) — so a fleet of processes shares ONE warm plan cache, ONE JIT cache, and
-/// ONE thread pool inside the daemon instead of each paying the cold-start
-/// cost (docs/GEMMD.md). `sgemm` forwards to it; `sgemmStridedBatched`
-/// ships a whole batch as one GemmBatchRequest. Both doors check their own
-/// arguments, then share one staging/transport/collect routine.
+/// reply doorbell; ipc/Spin.h) — so a fleet of processes shares ONE warm
+/// plan cache, ONE JIT cache, and ONE thread pool inside the daemon
+/// instead of each paying the cold-start cost (docs/GEMMD.md). `sgemm`
+/// forwards to it; `sgemmStridedBatched` ships a whole batch as one
+/// GemmBatchRequest. Both doors check their own arguments, then share one
+/// staging/transport/collect routine.
 ///
 /// Semantics match the Engine exactly: degenerate calls (m/n/k == 0,
 /// alpha == 0) are answered locally through the same scaleByBeta path the
@@ -140,7 +141,8 @@ private:
   exo::Error run(const Call &Q);
   exo::Error ensureConnectedLocked();
   /// Posts one packet and waits for its reply. \p Flops is the request's
-  /// work; above ipc::SpinMaxFlops the wait parks without spinning.
+  /// work (ipc::requestFlops); work the governor gives a multi-thread team
+  /// is waited for without spinning.
   exo::Error transactLocked(const void *Packet, uint32_t Bytes, void *Reply,
                             ipc::PacketType WantType, uint32_t WantSeq,
                             double Flops = 0);
@@ -156,6 +158,9 @@ private:
   /// Poll the response ring before blocking on the reply doorbell (ipc/
   /// Spin.h); decided per session from the connecting thread's affinity.
   bool Spin = false;
+  /// A spin-served reply's doorbell may still be on its way: drain the
+  /// socket before the next wait blocks on it.
+  bool BellsOwed = false;
   uint32_t Seq = 0;
   uint32_t LastFlags = 0;
   uint64_t RequestsOk = 0;

@@ -17,4 +17,6 @@ bool spinAllowed() {
          CPU_COUNT(&Set) > 1;
 }
 
+void spinPause() { ::sched_yield(); }
+
 } // namespace ipc

@@ -16,9 +16,17 @@
 ///
 /// The budgets are fixed constants, not knobs: long enough to cover the
 /// round trip of a small GEMM, short enough that an idle thread stops
-/// spinning within a fraction of a millisecond. Spinning is off when the
-/// caller's CPU affinity mask holds a single CPU, where a spinning thread
-/// only delays the one it waits for.
+/// spinning within a fraction of a millisecond. Three rules keep a spinner
+/// from taking the CPU the awaited thread needs:
+///
+///   - every spin iteration yields the CPU (spinPause), so where spinners
+///     outnumber the CPUs the thread with work runs next instead of
+///     queuing behind them;
+///   - nobody spins for a request the governor runs on a multi-thread team
+///     (gemm::Engine::teamWidthFor > 1): a spinner on a member's CPU
+///     stalls the whole team at its barriers;
+///   - spinning is off when the caller's CPU affinity mask holds a single
+///     CPU, where a spinning thread only delays the one it waits for.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,15 +47,8 @@ inline constexpr std::chrono::microseconds ClientSpin{200};
 /// after its last piece of work before it parks.
 inline constexpr std::chrono::microseconds ServerSpin{100};
 
-/// Requests above this much work (2mnk flops, summed over a batch) are
-/// not spun for, and while one is in flight the daemon's threads do not
-/// spin either. It is about what one core finishes within ClientSpin on
-/// the f32 path, so such a reply comes after the spin would have given up
-/// anyway; and it is work the governor splits across a multi-thread team,
-/// which needs the CPUs a spinning thread would hold.
-inline constexpr double SpinMaxFlops = 8e6;
-
-/// The work SpinMaxFlops is compared against.
+/// A request's work, 2mnk summed over a batch: what the governor sizes
+/// its team by (gemm::Engine::teamWidthFor).
 inline double requestFlops(int64_t M, int64_t N, int64_t K, int64_t Count) {
   return 2.0 * static_cast<double>(M) * static_cast<double>(N) *
          static_cast<double>(K) * static_cast<double>(Count);
@@ -57,14 +58,11 @@ inline double requestFlops(int64_t M, int64_t N, int64_t K, int64_t Count) {
 /// cannot be read); threads it starts inherit the mask.
 bool spinAllowed();
 
-/// One spin-loop iteration's pause hint to the CPU.
-inline void cpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
+/// Ends one spin-loop iteration by giving the CPU to any other runnable
+/// thread on it. Where every spinner has a CPU of its own this returns at
+/// once; where spinners outnumber the CPUs it hands the CPU to the thread
+/// the spinner waits for, which would otherwise queue behind it.
+void spinPause();
 
 /// Polls \p Ready until it returns true or \p Deadline passes; returns
 /// Ready's last answer. Ready is always called at least once.
@@ -75,7 +73,7 @@ bool spinUntil(Pred &&Ready, SpinClock::time_point Deadline) {
       return true;
     if (SpinClock::now() >= Deadline)
       return false;
-    cpuRelax();
+    spinPause();
   }
 }
 

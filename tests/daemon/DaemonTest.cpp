@@ -45,11 +45,11 @@
 #include <random>
 #include <sched.h>
 #include <sys/ioctl.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <thread>
+#include <time.h>
 #include <unistd.h>
 #include <vector>
 
@@ -717,12 +717,17 @@ int clientSocketFd(const std::string &SocketPath) {
   return Found;
 }
 
-/// Process CPU time (all threads), in ms.
-double processCpuMs() {
-  rusage U{};
-  ::getrusage(RUSAGE_SELF, &U);
-  return (U.ru_utime.tv_sec + U.ru_stime.tv_sec) * 1e3 +
-         (U.ru_utime.tv_usec + U.ru_stime.tv_usec) * 1e-3;
+/// CPU time of every thread but the calling one, in ms: the in-process
+/// server's poller, executors and pool workers, without the test thread's
+/// own client calls and sleeps. Scheduler clocks, so exact to the last
+/// context switch rather than sampled at ticks.
+double otherThreadsCpuMs() {
+  auto Ms = [](clockid_t Clock) {
+    timespec T{};
+    ::clock_gettime(Clock, &T);
+    return T.tv_sec * 1e3 + T.tv_nsec * 1e-6;
+  };
+  return Ms(CLOCK_PROCESS_CPUTIME_ID) - Ms(CLOCK_THREAD_CPUTIME_ID);
 }
 
 TEST(GemmdSpin, ReplyPastTheSpinBudgetMatchesLocalBitwise) {
@@ -819,16 +824,55 @@ TEST(GemmdSpin, IdleServerParks) {
   for (int I = 0; I != 200; ++I)
     ASSERT_FALSE(Remote.sgemm(16, 16, 16, 1.0f, A.data(), 16, A.data(), 16,
                               0.0f, C.data(), 16));
-  // A thread's CPU time is brought up to date only at a tick or a context
-  // switch, so a snapshot taken while the server threads still run would
-  // charge the window with work done before it. Open the window once they
-  // have parked: 2 ms, 20 times the server's spin budget.
+  // A running thread's CPU time is brought up to date only at a tick or a
+  // context switch, so a snapshot taken while a server thread still spins
+  // would charge the window with work done before it. Open the window once
+  // they have parked: 2 ms, 20 times the server's spin budget.
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const double Cpu0 = processCpuMs();
+  const double Cpu0 = otherThreadsCpuMs();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  const double IdleMs = processCpuMs() - Cpu0;
+  const double IdleMs = otherThreadsCpuMs() - Cpu0;
   EXPECT_LE(IdleMs, 5.0) << "an idle daemon kept spinning";
   ASSERT_FALSE(Remote.ping()); // and wakes up again
+}
+
+TEST(GemmdSpin, TimeoutReportsTheWholeBudget) {
+  // A server that admits the session and then never answers. The client
+  // spins, parks and gives up at one deadline for the whole wait; the
+  // error names the budget the caller set, not the part left for the
+  // blocking read.
+  const std::string Path = uniqueSocketPath();
+  Expected<ipc::Socket> L = ipc::Socket::listen(Path, 1);
+  ASSERT_TRUE(static_cast<bool>(L)) << L.message();
+  ipc::Socket Listener = L.take();
+  std::thread Mute([&] {
+    Expected<ipc::Socket> C = Listener.accept();
+    if (!C)
+      return;
+    ipc::HelloMsg Hello;
+    if (C->recvAll(&Hello, sizeof(Hello)))
+      return;
+    ipc::HelloAck Ack;
+    Ack.Status = static_cast<uint16_t>(ipc::HelloStatus::Ok);
+    if (C->sendAll(&Ack, sizeof(Ack)))
+      return;
+    char Byte;
+    while (!C->recvAll(&Byte, 1)) // swallow doorbells until hang-up
+      ;
+  });
+  gemm::Client::Options CO;
+  CO.SocketPath = Path;
+  CO.ShmBytes = 8ull << 20;
+  CO.TimeoutMs = 50;
+  gemm::Client Remote(CO);
+  std::vector<float> A(16 * 16, 0.5f), C(16 * 16, 0.0f);
+  Error E = Remote.sgemm(16, 16, 16, 1.0f, A.data(), 16, A.data(), 16, 0.0f,
+                         C.data(), 16);
+  ASSERT_TRUE(static_cast<bool>(E)) << "a mute server answered";
+  EXPECT_EQ(E.message(), "gemmd: timed out after 50 ms waiting for the server");
+  Remote.disconnect(); // the session is gone; the mute side sees EOF
+  Mute.join();
+  ::unlink(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -123,6 +123,32 @@ TEST(Governor, SmallShapeClampsToSequential) {
   }
 }
 
+TEST(Governor, WidthForWorkIsTheShapeModelAlone) {
+  Governor Gov(/*Ceiling=*/8, /*MinWorkFlops=*/int64_t(1) << 21);
+  const double Floor = double(int64_t(1) << 21);
+  EXPECT_EQ(Gov.widthForWork(2.0 * 32 * 32 * 32, /*PlanWidth=*/8), 1);
+  EXPECT_EQ(Gov.widthForWork(2.5 * Floor, /*PlanWidth=*/8), 2);
+  EXPECT_EQ(Gov.widthForWork(2.0 * 512 * 512 * 512, /*PlanWidth=*/4), 4);
+  EXPECT_EQ(Gov.widthForWork(2.0 * 512 * 512 * 512, /*PlanWidth=*/16), 8);
+  // A question, not a grant: nothing reserved, nothing counted.
+  EXPECT_EQ(Gov.outstandingExtra(), 0);
+  EXPECT_EQ(Gov.stats().Grants, 0u);
+}
+
+TEST(Governor, EngineTeamWidthFollowsItsDispatchMode) {
+  const double Small = 2.0 * 16 * 16 * 16, Big = 2.0 * 1024 * 1024 * 1024;
+  EngineConfig Fixed;
+  Fixed.Threads = 3;
+  Fixed.Governor = 0;
+  EXPECT_EQ(Engine(Fixed).teamWidthFor(Small), 3);
+  EngineConfig Governed;
+  Governed.Governor = 1;
+  Engine E(Governed);
+  EXPECT_EQ(E.teamWidthFor(Small), 1);
+  const Governor &G = Governor::global();
+  EXPECT_EQ(E.teamWidthFor(Big), G.widthForWork(Big, G.ceiling()));
+}
+
 namespace {
 
 struct RacingCallerCtx {
