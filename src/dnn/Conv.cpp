@@ -5,6 +5,10 @@
 #include <algorithm>
 #include <vector>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 using namespace dnn;
 
 namespace {
@@ -22,7 +26,35 @@ constexpr int64_t ChanBlock = 16;
 template <bool ToCols>
 void transposeBlock(const float *Src, float *Dst, int64_t PixStride,
                     int64_t Ld, int64_t Pixels, int64_t Chans) {
-  for (int64_t Px = 0; Px < Pixels; ++Px)
+  int64_t Px0 = 0;
+#if defined(__SSE2__)
+  // im2row: four pixels x four channels per step through one 4x4 register
+  // transpose (baseline x86-64 ISA, so no dispatch). The lanes are only
+  // moved, never computed on, so the copy stays bit-exact; the scalar
+  // loops below finish the channel and pixel remainders.
+  if constexpr (ToCols) {
+    for (; Px0 + 4 <= Pixels; Px0 += 4) {
+      const float *S = Src + Px0 * PixStride;
+      float *D = Dst + Px0;
+      int64_t C = 0;
+      for (; C + 4 <= Chans; C += 4) {
+        __m128 R0 = _mm_loadu_ps(S + C);
+        __m128 R1 = _mm_loadu_ps(S + PixStride + C);
+        __m128 R2 = _mm_loadu_ps(S + 2 * PixStride + C);
+        __m128 R3 = _mm_loadu_ps(S + 3 * PixStride + C);
+        _MM_TRANSPOSE4_PS(R0, R1, R2, R3);
+        _mm_storeu_ps(D + C * Ld, R0);
+        _mm_storeu_ps(D + (C + 1) * Ld, R1);
+        _mm_storeu_ps(D + (C + 2) * Ld, R2);
+        _mm_storeu_ps(D + (C + 3) * Ld, R3);
+      }
+      for (; C < Chans; ++C)
+        for (int64_t P = 0; P < 4; ++P)
+          D[P + C * Ld] = S[P * PixStride + C];
+    }
+  }
+#endif
+  for (int64_t Px = Px0; Px < Pixels; ++Px)
     for (int64_t C = 0; C < Chans; ++C) {
       if constexpr (ToCols)
         Dst[Px + C * Ld] = Src[Px * PixStride + C];

@@ -100,16 +100,20 @@ void detail::resolveEdgeKernels(
 }
 
 void detail::GemmWorkspace::ensure(const GemmGeometry &G) {
-  // Shared packed-B block (written cooperatively, panel-interleaved, read
-  // by everyone after the barrier) and per-thread working memory: A pack
-  // buffer, scratch tile, and — only when a Tight-mode width lacks its
-  // kernel — a re-padded B panel. Every resize is a no-op when the
-  // workspace already fits this geometry (the Engine's pooled hot path).
+  // Packed-B slots, each one Kc-deep panel: with several ic blocks, one per
+  // panel of the shared Bc block (written cooperatively, read by everyone
+  // after the barrier); with one ic block, one per team member (each packs
+  // the panel of the strip it is about to run). Then per-thread working
+  // memory: A pack buffer, scratch tile, and — only when a Tight-mode width
+  // lacks its kernel — a re-padded B panel. Every resize is a no-op when
+  // the workspace already fits this geometry (the Engine's pooled hot
+  // path).
+  const int64_t BSlots = G.NIc > 1 ? (G.Nc + G.Nr - 1) / G.Nr : G.T;
   if (G.Ty == DType::I8I32) {
     // K-grouped byte panels and i32 scratch tiles; panel depth is the
     // group count rounded up (the pack zero-fills the K remainder).
     const int64_t KG = (G.Kc + I8KGroup - 1) / I8KGroup;
-    BBufI8.resize(((G.Nc + G.Nr - 1) / G.Nr) * KG * I8KGroup * G.Nr);
+    BBufI8.resize(BSlots * KG * I8KGroup * G.Nr);
     ABufsI8.resize(G.T);
     ScratchesI32.resize(G.T);
     for (int64_t I = 0; I < G.T; ++I) {
@@ -121,7 +125,7 @@ void detail::GemmWorkspace::ensure(const GemmGeometry &G) {
   // F32 — and F16/BF16, whose panels are convert-packed to f32 with the
   // identical layout (the scratch tile doubles as the rounding staging
   // area at copy-out).
-  BBuf.resize(((G.Nc + G.Nr - 1) / G.Nr) * G.Kc * G.Nr);
+  BBuf.resize(BSlots * G.Kc * G.Nr);
   ABufs.resize(G.T);
   Scratches.resize(G.T);
   BPads.resize(G.T);
@@ -164,12 +168,18 @@ inline OpView opView(Trans T, int64_t Ld, int64_t R0, int64_t C0) {
 //   betaIsOne(Cl)                      static; skip the pre-scale entirely
 //   scaleColumn(Cl, Row, Col, Len)     static; C[Row.., Col] *= beta
 //                                      (beta == 0 overwrites, NaN-safe)
-//   packB(P, J0, W, Pc, KcEff)         pack B panel P (W columns at J0)
+//   packB(S, J0, W, Pc, KcEff)         pack the B panel of W columns at J0
+//                                      into slot S
 //   packA(Ic, Pc, McEff, KcEff)        pack this member's A block
-//   strip(P, NrEff, KcEff)             select strip P's B panel (and kernel)
+//   strip(S, NrEff, KcEff)             select the strip's B panel in slot S
+//                                      (and its kernel)
 //   tile(Ir, Row, Col, MrEff, NrEff, KcEff)
 //                                      one micro-tile update of C at
 //                                      (Row, Col) from A panel Ir / Mr
+//
+// A B slot holds one panel of the plan's full Kc depth whatever KcEff is,
+// so slot S covers the same bytes in every Pc block: members running
+// without barriers may be in different Pc blocks at once.
 //
 // runTeamMember is instantiated once per policy, so no tile pays a
 // per-dtype branch.
@@ -186,6 +196,7 @@ struct F32Elem {
   float *const C;
   const KernelFn Main;
   float *const BBuf, *const ABuf, *const Scratch, *const BPad;
+  const int64_t SlotSize;
   // Current strip (set by strip()).
   const float *BPanel = nullptr;
   KernelFn StripFn = nullptr;
@@ -197,7 +208,8 @@ struct F32Elem {
         C(static_cast<float *>(Cl.C)), Main(G.Main.Fn),
         BBuf(WS.BBuf.data()), ABuf(WS.ABufs[Tid].data()),
         Scratch(WS.Scratches[Tid].data()),
-        BPad(WS.BPads[Tid].empty() ? nullptr : WS.BPads[Tid].data()) {}
+        BPad(WS.BPads[Tid].empty() ? nullptr : WS.BPads[Tid].data()),
+        SlotSize(G.Kc * G.Nr) {}
 
   static bool betaIsOne(const detail::GemmCall &Cl) {
     return Cl.Beta == 1.0f;
@@ -212,12 +224,10 @@ struct F32Elem {
         P[I] *= Cl.Beta;
   }
 
-  void packB(int64_t P, int64_t J0, int64_t W, int64_t Pc, int64_t KcEff) {
-    // Packing panel by panel reproduces the monolithic layout exactly (slot
-    // stride KcEff * Nr; only the last panel can be partial).
+  void packB(int64_t S, int64_t J0, int64_t W, int64_t Pc, int64_t KcEff) {
     const OpView V = opView(Cl.TB, Cl.Ldb, Pc, J0);
     packBStrided(static_cast<const float *>(Cl.B) + V.Off, V.RS, V.CS, KcEff,
-                 W, Nr, /*Alpha=*/1.0f, G.PackMode, BBuf + P * KcEff * Nr);
+                 W, Nr, /*Alpha=*/1.0f, G.PackMode, BBuf + S * SlotSize);
   }
 
   void packA(int64_t Ic, int64_t Pc, int64_t McEff, int64_t KcEff) {
@@ -229,8 +239,8 @@ struct F32Elem {
                  KcEff, Mr, Cl.Alpha, EdgePack::ZeroPad, ABuf);
   }
 
-  void strip(int64_t P, int64_t NrEff, int64_t KcEff) {
-    BPanel = BBuf + P * KcEff * Nr;
+  void strip(int64_t S, int64_t NrEff, int64_t KcEff) {
+    BPanel = BBuf + S * SlotSize;
     // The edge kernel depends only on the strip width; resolved once per
     // plan (or per legacy call). A Tight-mode strip without its specialized
     // kernel re-pads the tight panel and runs the monolithic kernel through
@@ -287,6 +297,7 @@ template <DType Ty> struct HalfElem {
   uint16_t *const C;
   const KernelFn Main;
   float *const BBuf, *const ABuf, *const Scratch;
+  const int64_t SlotSize;
   const float *BPanel = nullptr;
 
   HalfElem(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
@@ -294,7 +305,7 @@ template <DType Ty> struct HalfElem {
       : Cl(Cl), Mr(G.Mr), Nr(G.Nr), Ldc(Cl.Ldc),
         C(static_cast<uint16_t *>(Cl.C)), Main(G.Main.Fn),
         BBuf(WS.BBuf.data()), ABuf(WS.ABufs[Tid].data()),
-        Scratch(WS.Scratches[Tid].data()) {}
+        Scratch(WS.Scratches[Tid].data()), SlotSize(G.Kc * G.Nr) {}
 
   static float load(uint16_t H) {
     return Ty == DType::BF16 ? bf16ToF32(H) : f16ToF32(H);
@@ -316,11 +327,10 @@ template <DType Ty> struct HalfElem {
         P[I] = store(load(P[I]) * Cl.Beta);
   }
 
-  void packB(int64_t P, int64_t J0, int64_t W, int64_t Pc, int64_t KcEff) {
+  void packB(int64_t S, int64_t J0, int64_t W, int64_t Pc, int64_t KcEff) {
     const OpView V = opView(Cl.TB, Cl.Ldb, Pc, J0);
     packBConvStrided(Ty, static_cast<const uint16_t *>(Cl.B) + V.Off, V.RS,
-                     V.CS, KcEff, W, Nr, /*Alpha=*/1.0f,
-                     BBuf + P * KcEff * Nr);
+                     V.CS, KcEff, W, Nr, /*Alpha=*/1.0f, BBuf + S * SlotSize);
   }
 
   void packA(int64_t Ic, int64_t Pc, int64_t McEff, int64_t KcEff) {
@@ -329,9 +339,7 @@ template <DType Ty> struct HalfElem {
                      V.CS, McEff, KcEff, Mr, Cl.Alpha, ABuf);
   }
 
-  void strip(int64_t P, int64_t, int64_t KcEff) {
-    BPanel = BBuf + P * KcEff * Nr;
-  }
+  void strip(int64_t S, int64_t, int64_t) { BPanel = BBuf + S * SlotSize; }
 
   void tile(int64_t Ir, int64_t Row, int64_t Col, int64_t MrEff,
             int64_t NrEff, int64_t KcEff) {
@@ -365,13 +373,15 @@ struct I8Elem {
   int32_t *const C;
   int8_t *const BBuf, *const ABuf;
   int32_t *const Scratch;
+  const int64_t SlotSize;
   const int8_t *BPanel = nullptr;
 
   I8Elem(const detail::GemmGeometry &G, const detail::GemmCall &Cl,
          detail::GemmWorkspace &WS, int64_t Tid)
       : Cl(Cl), Mr(G.Mr), Nr(G.Nr), Ldc(Cl.Ldc),
         C(static_cast<int32_t *>(Cl.C)), BBuf(WS.BBufI8.data()),
-        ABuf(WS.ABufsI8[Tid].data()), Scratch(WS.ScratchesI32[Tid].data()) {}
+        ABuf(WS.ABufsI8[Tid].data()), Scratch(WS.ScratchesI32[Tid].data()),
+        SlotSize(depth(G.Kc) * G.Nr) {}
 
   /// Panel depth in elements: the group count rounded up (the pack
   /// zero-fills the K remainder).
@@ -390,10 +400,10 @@ struct I8Elem {
         P[I] = mulWrapI32(P[I], Cl.BetaI);
   }
 
-  void packB(int64_t P, int64_t J0, int64_t W, int64_t Pc, int64_t KcEff) {
+  void packB(int64_t S, int64_t J0, int64_t W, int64_t Pc, int64_t KcEff) {
     const OpView V = opView(Cl.TB, Cl.Ldb, Pc, J0);
     packBI8Strided(static_cast<const int8_t *>(Cl.B) + V.Off, V.RS, V.CS,
-                   KcEff, W, Nr, BBuf + P * depth(KcEff) * Nr);
+                   KcEff, W, Nr, BBuf + S * SlotSize);
   }
 
   void packA(int64_t Ic, int64_t Pc, int64_t McEff, int64_t KcEff) {
@@ -402,9 +412,7 @@ struct I8Elem {
                    McEff, KcEff, Mr, ABuf);
   }
 
-  void strip(int64_t P, int64_t, int64_t KcEff) {
-    BPanel = BBuf + P * depth(KcEff) * Nr;
-  }
+  void strip(int64_t S, int64_t, int64_t) { BPanel = BBuf + S * SlotSize; }
 
   void tile(int64_t Ir, int64_t Row, int64_t Col, int64_t MrEff,
             int64_t NrEff, int64_t KcEff) {
@@ -450,36 +458,32 @@ template <class Elem> void runTeamMember(void *Ctx, int64_t Tid) {
   Elem E(G, Cl, *Job.WS, Tid);
 
   // Grid position: ic team owns row blocks BIdx % Tic == IcTeam; within
-  // a team, jr strips (and pre-scale columns) split by JrIdx.
+  // a team, jr strips split by JrIdx. The owner of a (row block, strip)
+  // tile column is its only writer, beta pre-scale included.
   const int64_t IcTeam = Tid / Tjr, JrIdx = Tid % Tjr;
+  // With several ic blocks every ic team reads every B panel, so the team
+  // packs the shared Bc block cooperatively behind a barrier. With one,
+  // Tic == 1 and strip P's only reader is its packer (P % T == JrIdx): the
+  // member packs each panel into its own slot just before running it, and
+  // the team never synchronizes.
+  const bool SharedB = NIc > 1;
+  const bool Scale = !Elem::betaIsOne(Cl);
 
   for (int64_t Jc = 0; Jc < N; Jc += Nc) {            // Loop L1
     const int64_t NcEff = std::min(Nc, N - Jc);
     const int64_t NPan = (NcEff + Nr - 1) / Nr;
     for (int64_t Pc = 0; Pc < K; Pc += Kc) {          // Loop L2
       const int64_t KcEff = std::min(Kc, K - Pc);
-      // Cooperative packB: panel P goes to thread P % T.
-      {
-        EXO_OBS_SPAN("gemm.packB");
-        for (int64_t P = Tid; P < NPan; P += T)
-          E.packB(P, Jc + P * Nr, std::min(Nr, NcEff - P * Nr), Pc, KcEff);
-      }
-
-      // Apply beta once per (jc) column block, before the first update.
-      // Ownership: rows by ic team, columns round-robin within the team —
-      // every C element has exactly one writer.
-      if (Pc == 0 && !Elem::betaIsOne(Cl)) {
-        EXO_OBS_SPAN("gemm.beta");
-        for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) {
-          const int64_t Ic = BIdx * Mc;
-          const int64_t McEff = std::min(Mc, M - Ic);
-          for (int64_t J = JrIdx; J < NcEff; J += Tjr)
-            Elem::scaleColumn(Cl, Ic, Jc + J, McEff);
+      if (SharedB) {
+        {
+          EXO_OBS_SPAN("gemm.packB"); // panel P goes to thread P % T
+          for (int64_t P = Tid; P < NPan; P += T)
+            E.packB(P, Jc + P * Nr, std::min(Nr, NcEff - P * Nr), Pc, KcEff);
         }
-      }
-      if (T > 1) {
-        EXO_OBS_SPAN("gemm.barrier");
-        Job.Bar->arriveAndWait(); // packB + pre-scale done before update
+        if (T > 1) {
+          EXO_OBS_SPAN("gemm.barrier");
+          Job.Bar->arriveAndWait(); // Bc packed before any strip reads it
+        }
       }
 
       for (int64_t BIdx = IcTeam; BIdx < NIc; BIdx += Tic) { // Loop L3
@@ -493,19 +497,29 @@ template <class Elem> void runTeamMember(void *Ctx, int64_t Tid) {
           E.packA(Ic, Pc, McEff, KcEff);
         }
 
-        EXO_OBS_SPAN("gemm.ukr");
         for (int64_t P = JrIdx; P < NPan; P += Tjr) {  // Loop L4
           const int64_t Jr = P * Nr;
           const int64_t NrEff = std::min(Nr, NcEff - Jr);
-          E.strip(P, NrEff, KcEff);
+          if (!SharedB) {
+            EXO_OBS_SPAN("gemm.packB");
+            E.packB(Tid, Jc + Jr, NrEff, Pc, KcEff);
+          }
+          // Apply beta once, before the first update of these columns.
+          if (Pc == 0 && Scale) {
+            EXO_OBS_SPAN("gemm.beta");
+            for (int64_t J = 0; J < NrEff; ++J)
+              Elem::scaleColumn(Cl, Ic, Jc + Jr + J, McEff);
+          }
+          EXO_OBS_SPAN("gemm.ukr");
+          E.strip(SharedB ? P : Tid, NrEff, KcEff);
           for (int64_t Ir = 0; Ir < McEff; Ir += Mr)   // Loop L5
             E.tile(Ir, Ic + Ir, Jc + Jr, std::min(Mr, McEff - Ir), NrEff,
                    KcEff);
         }
       }
-      if (T > 1) {
+      if (SharedB && T > 1) {
         EXO_OBS_SPAN("gemm.barrier");
-        Job.Bar->arriveAndWait(); // BBuf (and C columns) recycle next round
+        Job.Bar->arriveAndWait(); // Bc is repacked next round
       }
     }
   }
@@ -561,9 +575,9 @@ void detail::scaleByBeta(DType Ty, int64_t M, int64_t N, double Beta, void *C,
 void detail::executeGemm(const GemmGeometry &G, const GemmCall &Call,
                          GemmWorkspace &WS) {
   // Tracing (see docs/OBSERVABILITY.md): spans attribute time to the
-  // packA / packB / micro-kernel / barrier phases at block granularity —
-  // coarse enough that an *enabled* trace stays cheap, and each Span
-  // construction is a single relaxed load when EXO_OBS is unset. The
+  // packA / packB / beta / micro-kernel / barrier phases, per block or per
+  // strip — coarse enough that an *enabled* trace stays cheap, and each
+  // Span construction is a single relaxed load when EXO_OBS is unset. The
   // spans only observe; results are bitwise identical either way.
   EXO_OBS_SPAN("gemm.call");
   const TeamFn Member = teamMemberFor(G.Ty);

@@ -8,7 +8,8 @@
 /// The GotoBLAS/BLIS five-loop macro-kernel (paper Figs. 1-2): jc over nc
 /// column blocks (Bc packed for L3), pc over kc depth blocks, ic over mc row
 /// blocks (Ac packed for L2), then jr/ir micro-tile loops invoking the
-/// micro-kernel. Edge tiles either dispatch to a provider-specialized
+/// micro-kernel. A problem with a single ic block never shares Bc, so it
+/// packs each B panel at its jr strip instead, with no team barriers. Edge tiles either dispatch to a provider-specialized
 /// kernel (EXO mode, tight packing) or run the monolithic kernel into a
 /// zero-padded scratch tile (BLIS mode). One executor serves every dtype;
 /// only packing and the micro-tile update depend on it (detail::executeGemm).

@@ -44,6 +44,7 @@
 #include <map>
 #include <random>
 #include <sched.h>
+#include <string>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -1053,10 +1054,13 @@ TEST(GemmdLifecycle, NoSharedMemoryNamesLeak) {
     gemm::Client C(F.clientOpts());
     ASSERT_FALSE(C.ping());
     // Session live, name already unlinked: nothing to leak even if both
-    // sides died right now.
+    // sides died right now. Only this process's names count: another
+    // process may be between creating its region and the handshake.
+    const std::string Own =
+        "exo-gemmd-" + std::to_string(static_cast<long>(::getpid())) + "-";
     if (DIR *D = ::opendir("/dev/shm")) {
       while (dirent *E = ::readdir(D))
-        EXPECT_EQ(nullptr, std::strstr(E->d_name, "exo-gemmd"))
+        EXPECT_NE(0, std::strncmp(E->d_name, Own.c_str(), Own.size()))
             << "leaked shm name " << E->d_name;
       ::closedir(D);
     }

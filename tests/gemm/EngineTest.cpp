@@ -6,8 +6,9 @@
 // shared detail::executeGemm, and the differential sweep here holds that
 // across a broad shape set (edge-heavy shapes included), all four
 // transpose combos, and team sizes 1 and 4. Also covers the plan cache's
-// observable behavior (counters, cap eviction, cache-off mode) and the
-// planner's measured-prior path.
+// observable behavior (counters, cap eviction, cache-off mode), the
+// planner's measured-prior path, and the barrier-free one-ic-block teams'
+// width invariance for every dtype.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,13 +16,18 @@
 
 #include "benchutil/Bench.h"
 #include "exo/jit/Jit.h"
+#include "gemm/DType.h"
 #include "gemm/ExoProvider.h"
 #include "gemm/Kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -330,4 +336,128 @@ TEST(EngineConfigTest, CustomProviderServes) {
   GemmPlan Plan = GemmPlan::standard(P);
   for (auto [TA, TB] : Combos)
     expectBitwiseEqual(E, Plan, P, TA, TB, 33, 29, 31);
+}
+
+namespace {
+
+/// Random operand storage for \p Ty: [-1, 1) rounded to storage for the
+/// float types, the full byte range for i8.
+std::vector<unsigned char> randomStorage(DType Ty, int64_t Elems,
+                                         unsigned Seed) {
+  std::vector<unsigned char> V(Elems * dtypeInBytes(Ty));
+  std::mt19937 Rng(Seed);
+  std::uniform_real_distribution<float> D(-1.0f, 1.0f);
+  for (int64_t X = 0; X != Elems; ++X) {
+    const float F = D(Rng);
+    if (Ty == DType::I8I32)
+      reinterpret_cast<int8_t *>(V.data())[X] =
+          static_cast<int8_t>(static_cast<int>(Rng() % 256) - 128);
+    else if (Ty == DType::F32)
+      reinterpret_cast<float *>(V.data())[X] = F;
+    else
+      reinterpret_cast<uint16_t *>(V.data())[X] =
+          Ty == DType::F16 ? f32ToF16(F) : f32ToBf16(F);
+  }
+  return V;
+}
+
+/// C storage for \p Ty: random values, or, for beta == 0 (which must
+/// overwrite C), NaN everywhere; i8's i32 C has no NaN, so a garbage word.
+std::vector<unsigned char> seedC(DType Ty, int64_t Elems, bool Garbage,
+                                 unsigned Seed) {
+  if (Ty != DType::I8I32 && !Garbage)
+    return randomStorage(Ty, Elems, Seed);
+  std::vector<unsigned char> V(Elems * dtypeOutBytes(Ty));
+  std::mt19937 Rng(Seed);
+  for (int64_t X = 0; X != Elems; ++X) {
+    if (Ty == DType::I8I32)
+      reinterpret_cast<int32_t *>(V.data())[X] =
+          Garbage ? 0x7fc0dead : static_cast<int32_t>(Rng() % 2001) - 1000;
+    else if (Ty == DType::F32)
+      reinterpret_cast<float *>(V.data())[X] =
+          std::numeric_limits<float>::quiet_NaN();
+    else
+      reinterpret_cast<uint16_t *>(V.data())[X] = 0x7fff; // NaN in both
+  }
+  return V;
+}
+
+bool hasNaN(DType Ty, const std::vector<unsigned char> &C) {
+  const int64_t Elems = C.size() / dtypeOutBytes(Ty);
+  for (int64_t X = 0; X != Elems; ++X) {
+    float F = 0;
+    if (Ty == DType::F32)
+      F = reinterpret_cast<const float *>(C.data())[X];
+    else if (Ty != DType::I8I32) {
+      const uint16_t H = reinterpret_cast<const uint16_t *>(C.data())[X];
+      F = Ty == DType::F16 ? f16ToF32(H) : bf16ToF32(H);
+    }
+    if (std::isnan(F))
+      return true;
+  }
+  return false;
+}
+
+} // namespace
+
+// One ic block: each team member packs the B panels of its own strips and
+// the team never meets at a barrier, so members drift across Kc blocks.
+// Every width must still match width 1 bitwise, for every dtype, transpose
+// pair and beta. K = 200 over Kc = 64 is three full depth blocks and a
+// short last one (a panel slot sized by the block's own depth would let a
+// member in the short block overwrite a teammate's panel); N leaves an
+// edge strip, and the second shape also crosses nc blocks. Repeated,
+// because a race shows only when members drift.
+TEST(EngineInvariance, OneIcBlockTeamsMatchWidthOneBitwise) {
+  if (!baselineKernelsUsable())
+    GTEST_SKIP() << "host lacks AVX2+FMA";
+  struct Case {
+    int64_t M, N, K;
+    BlockSizes Blocks;
+  };
+  const Case Cases[] = {{37, 67, 200, {256, 64, 4096}},
+                        {64, 100, 200, {256, 64, 48}}};
+  constexpr int Reps = 20;
+  for (const Case &Cs : Cases) {
+    std::vector<std::unique_ptr<Engine>> Engines;
+    for (int64_t Width = 1; Width <= 4; ++Width) {
+      EngineConfig Cfg;
+      Cfg.Series = EngineSeries::Blis;
+      Cfg.Threads = Width;
+      Cfg.Blocks = Cs.Blocks;
+      Engines.push_back(std::make_unique<Engine>(Cfg));
+    }
+    for (DType Ty : {DType::F32, DType::F16, DType::BF16, DType::I8I32}) {
+      const bool Int = Ty == DType::I8I32;
+      const double Alpha = Int ? 2.0 : 1.25;
+      for (auto [TA, TB] : Combos)
+        for (double Beta : {0.0, 1.0, Int ? -3.0 : 0.7}) {
+          const int64_t Lda = TA == Trans::None ? Cs.M : Cs.K;
+          const int64_t Ldb = TB == Trans::None ? Cs.K : Cs.N;
+          const auto A = randomStorage(Ty, Cs.M * Cs.K, 17);
+          const auto B = randomStorage(Ty, Cs.K * Cs.N, 19);
+          const auto C0 = seedC(Ty, Cs.M * Cs.N, Beta == 0.0, 23);
+          const std::string What =
+              std::string(dtypeName(Ty)) + " " + std::to_string(Cs.M) + "x" +
+              std::to_string(Cs.N) + "x" + std::to_string(Cs.K) +
+              " TA=" + std::to_string(TA == Trans::Transpose) +
+              " TB=" + std::to_string(TB == Trans::Transpose) +
+              " beta=" + std::to_string(Beta);
+          auto Run = [&](Engine &E) {
+            std::vector<unsigned char> C = C0;
+            exo::Error Err = E.gemm(Ty, TA, TB, Cs.M, Cs.N, Cs.K, Alpha,
+                                    A.data(), Lda, B.data(), Ldb, Beta,
+                                    C.data(), Cs.M);
+            EXPECT_FALSE(bool(Err)) << Err.message();
+            return C;
+          };
+          const std::vector<unsigned char> Want = Run(*Engines[0]);
+          ASSERT_FALSE(hasNaN(Ty, Want)) << What;
+          for (int Rep = 0; Rep < Reps; ++Rep)
+            for (int64_t Width = 2; Width <= 4; ++Width)
+              ASSERT_TRUE(Run(*Engines[Width - 1]) == Want)
+                  << What << " width=" << Width << " rep=" << Rep;
+        }
+    }
+  }
 }

@@ -40,14 +40,19 @@ protected:
     obs::clear();
   }
 
-  /// Runs one M x N x K SGEMM with the BLIS-style baseline kernel.
-  void runGemm(int64_t M, int64_t N, int64_t K, float *C, int Threads = 1) {
+  /// Runs one M x N x K SGEMM with the BLIS-style baseline kernel; a
+  /// positive \p Mc overrides the plan's row block (and so the ic block
+  /// count).
+  void runGemm(int64_t M, int64_t N, int64_t K, float *C, int Threads = 1,
+               int64_t Mc = 0) {
     std::vector<float> A(M * K), B(K * N);
     benchutil::fillRandom(A.data(), A.size(), 5);
     benchutil::fillRandom(B.data(), B.size(), 6);
     FixedProvider P(blisKernel(), "BLIS");
     GemmPlan Plan = GemmPlan::standard(P);
     Plan.Threads = Threads;
+    if (Mc > 0)
+      Plan.Blocks.MC = Mc;
     exo::Error E = blisGemm(Plan, P, M, N, K, 1.0f, A.data(), M, B.data(), K,
                             1.0f, C, M);
     ASSERT_FALSE(bool(E)) << E.message();
@@ -88,7 +93,8 @@ TEST_F(ObsGemmTest, ResultsBitwiseIdenticalWithTracingOff) {
 TEST_F(ObsGemmTest, ThreadedRunTracesOneLanePerWorker) {
   const int Threads = 4;
   std::vector<float> C(256 * 256, 0.f);
-  runGemm(256, 256, 256, C.data(), Threads);
+  // Four ic blocks: the team shares each packed Bc block behind barriers.
+  runGemm(256, 256, 256, C.data(), Threads, /*Mc=*/64);
 
   std::set<uint32_t> Tids;
   uint64_t Barriers = 0;
@@ -115,6 +121,25 @@ TEST_F(ObsGemmTest, ThreadedRunTracesOneLanePerWorker) {
       LaneTids.insert(Ev->at(I).num("tid", -1));
   EXPECT_GE(LaneTids.size(), static_cast<size_t>(Threads));
   std::remove(Path.c_str());
+}
+
+TEST_F(ObsGemmTest, OneIcBlockTeamRunsWithoutBarriers) {
+  const int Threads = 4;
+  std::vector<float> C(256 * 256, 0.f);
+  // One ic block: every member packs the B panels of its own strips, so
+  // the team never meets at a barrier.
+  runGemm(256, 256, 256, C.data(), Threads, /*Mc=*/256);
+
+  std::set<uint32_t> PackTids;
+  uint64_t Barriers = 0;
+  for (const obs::Event &E : obs::events()) {
+    if (std::strcmp(E.Name, "gemm.packB") == 0)
+      PackTids.insert(E.Tid);
+    if (std::strcmp(E.Name, "gemm.barrier") == 0)
+      ++Barriers;
+  }
+  EXPECT_GE(PackTids.size(), static_cast<size_t>(Threads));
+  EXPECT_EQ(Barriers, 0u) << "a one-ic-block team must not synchronize";
 }
 
 TEST_F(ObsGemmTest, MeasureAttributesStagesPerCall) {
